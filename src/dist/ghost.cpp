@@ -14,6 +14,7 @@
 #include <array>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 #include "common/flatmap.hpp"
 #include "dist/keymaps_impl.hpp"
@@ -139,7 +140,7 @@ void PartedMesh::ghostLayersBody(int layers) {
   }
 
   // Receivers create ghosts (deduplicating by key) and notify owners.
-  net_.deliverAll([&](PartId to, PartId, pcu::InBuffer body) {
+  net_.deliverAll([&](PartId to, PartId from, pcu::InBuffer body) {
     Part& p = *parts_[static_cast<std::size_t>(to)];
     auto& by_key = keys.by_key[static_cast<std::size_t>(to)];
     std::array<Ent, 8> lv{};
@@ -159,6 +160,13 @@ void PartedMesh::ghostLayersBody(int layers) {
         x = body.unpack<common::Vec3>();
       } else {
         nv = body.unpack<std::uint32_t>();
+        if (nv > vkeys.size())
+          throw pcu::Error(pcu::ErrorCode::kValidation, static_cast<int>(to),
+                           static_cast<int>(from), kNetChannelTag,
+                           "ghost payload from part " + std::to_string(from) +
+                               " to part " + std::to_string(to) + " names " +
+                               std::to_string(nv) + " vertices, at most " +
+                               std::to_string(vkeys.size()) + " allowed");
         for (std::uint32_t k = 0; k < nv; ++k) vkeys[k] = unpackKey(body);
       }
       const bool duplicate = key.part == to || by_key.count(key) > 0;

@@ -236,12 +236,20 @@ class Network {
     std::vector<std::vector<StagedMsg>> stages(
         static_cast<std::size_t>(threads));
     std::atomic<std::size_t> next{0};
+    // A handler's exception must not escape its worker thread (that ends
+    // the process): each destination's error is kept and the lowest
+    // part's is rethrown once every worker has joined.
+    std::vector<std::exception_ptr> failed(taken.size());
     auto worker = [&](std::vector<StagedMsg>* stage) {
       TlsGuard guard(this, stage);
       for (;;) {
         const std::size_t to = next.fetch_add(1);
         if (to >= taken.size()) return;
-        deliverTo(static_cast<PartId>(to), taken[to], handler);
+        try {
+          deliverTo(static_cast<PartId>(to), taken[to], handler);
+        } catch (...) {
+          failed[to] = std::current_exception();
+        }
       }
     };
     std::vector<std::thread> pool;
@@ -249,9 +257,13 @@ class Network {
     for (int t = 0; t < threads; ++t)
       pool.emplace_back(worker, &stages[static_cast<std::size_t>(t)]);
     for (auto& t : pool) t.join();
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (auto& stage : stages)
-      for (auto& m : stage) stageLocked(m.from, m.to, std::move(m.bytes));
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      for (auto& stage : stages)
+        for (auto& m : stage) stageLocked(m.from, m.to, std::move(m.bytes));
+    }
+    for (const auto& e : failed)
+      if (e) std::rethrow_exception(e);
   }
 
   [[nodiscard]] const pcu::CommStats& stats() const { return stats_; }

@@ -5,9 +5,11 @@
 #include <cmath>
 #include <stdexcept>
 #include <cassert>
+#include <span>
 #include <unordered_map>
 
 #include "core/measure.hpp"
+#include "dist/exchange.hpp"
 #include "field/field.hpp"
 #include "gmi/model.hpp"
 
@@ -72,59 +74,18 @@ struct PartData {
 
 class Context {
  public:
-  Context(dist::PartedMesh& pm) : pm_(pm), parts_(pm.parts()) {}
+  explicit Context(dist::PartedMesh& pm)
+      : halo_(pm, 0), parts_(pm.parts()) {}
 
   std::vector<PartData> data;
 
-  /// Sum partial values of shared vertices across parts, then broadcast
-  /// the totals back so every copy agrees.
+  /// Sum partial values of shared vertices across parts; every copy ends up
+  /// holding the total.
   void accumulate(std::vector<double> PartData::* vec) {
-    auto& net = pm_.network();
-    // Copies report to owners.
-    for (PartId p = 0; p < parts_; ++p) {
-      const auto& part = pm_.part(p);
-      for (const auto& [e, rem] : part.remotes()) {
-        if (e.topo() != core::Topo::Vertex || rem.owner == p) continue;
-        for (const dist::Copy& c : rem.copies) {
-          if (c.part != rem.owner) continue;
-          pcu::OutBuffer msg;
-          msg.pack<std::uint64_t>(c.ent.packed());
-          msg.pack<double>(
-              (data[static_cast<std::size_t>(p)].*vec)
-                  [static_cast<std::size_t>(
-                      data[static_cast<std::size_t>(p)].idx.at(e))]);
-          net.send(p, rem.owner, std::move(msg));
-        }
-      }
-    }
-    net.deliverAll([&](PartId to, PartId, pcu::InBuffer body) {
-      const Ent owner_ent = Ent::unpack(body.unpack<std::uint64_t>());
-      const double v = body.unpack<double>();
-      auto& d = data[static_cast<std::size_t>(to)];
-      (d.*vec)[static_cast<std::size_t>(d.idx.at(owner_ent))] += v;
-    });
-    // Owners broadcast totals.
-    for (PartId p = 0; p < parts_; ++p) {
-      const auto& part = pm_.part(p);
-      for (const auto& [e, rem] : part.remotes()) {
-        if (e.topo() != core::Topo::Vertex || rem.owner != p) continue;
-        auto& d = data[static_cast<std::size_t>(p)];
-        const double total =
-            (d.*vec)[static_cast<std::size_t>(d.idx.at(e))];
-        for (const dist::Copy& c : rem.copies) {
-          pcu::OutBuffer msg;
-          msg.pack<std::uint64_t>(c.ent.packed());
-          msg.pack<double>(total);
-          net.send(p, c.part, std::move(msg));
-        }
-      }
-    }
-    net.deliverAll([&](PartId to, PartId, pcu::InBuffer body) {
-      const Ent local = Ent::unpack(body.unpack<std::uint64_t>());
-      const double v = body.unpack<double>();
-      auto& d = data[static_cast<std::size_t>(to)];
-      (d.*vec)[static_cast<std::size_t>(d.idx.at(local))] = v;
-    });
+    std::vector<std::span<double>> values;
+    values.reserve(data.size());
+    for (auto& d : data) values.emplace_back(d.*vec);
+    halo_.sum(values);
   }
 
   /// Global dot product, counting each vertex once (on its owner).
@@ -159,7 +120,7 @@ class Context {
   }
 
  private:
-  dist::PartedMesh& pm_;
+  dist::Exchange halo_;
   int parts_;
 };
 

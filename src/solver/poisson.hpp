@@ -13,7 +13,13 @@
 /// gradients with owner-aware parallel reductions:
 ///   - element stiffness assembled part-locally,
 ///   - matrix-vector products accumulate partial sums across part-boundary
-///     vertex copies through the part-to-part network,
+///     vertex copies with a dist::Exchange compiled once per solve: one
+///     message per (copy part, owner part) channel carries the copies'
+///     values, the owner adds them, and one message per reverse channel
+///     returns the total. Channels are posted in ascending source part with
+///     values in remotes() order, so each owner adds contributions in a
+///     fixed order and iterations and solution are bit-reproducible, in
+///     serial and threaded delivery alike,
 ///   - dot products count each vertex once (on its owning part).
 /// The solution is written to the vertex field "u" on every part.
 

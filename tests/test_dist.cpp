@@ -361,6 +361,36 @@ TEST(Ghost, UnghostRestoresLocalCounts) {
           << "part " << p << " dim " << d;
 }
 
+TEST(Ghost, OversizedVertexCountInPayloadIsAValidationError) {
+  // A closure record announcing more vertices than any element has must be
+  // rejected before its vertex keys are read, not written past the buffer;
+  // under threaded delivery the error must reach the caller, not end the
+  // process from a worker thread.
+  for (int threads : {0, 4}) {
+    auto gen = meshgen::boxTets(3, 3, 3);
+    auto pm = dist::PartedMesh::distribute(
+        *gen.mesh, gen.model.get(), stripeByX(*gen.mesh, 3), flatMap(3));
+    pm->network().setDeliveryThreads(threads);
+    pcu::OutBuffer rogue;
+    rogue.pack<std::uint32_t>(1);  // one closure entity
+    rogue.pack<std::int32_t>(0);   // key: owner part
+    rogue.pack<std::uint64_t>(0);  // key: owner handle
+    rogue.pack<std::uint8_t>(static_cast<std::uint8_t>(core::Topo::Tet));
+    rogue.pack<std::int32_t>(-1);  // unclassified
+    rogue.pack<std::int32_t>(-1);
+    rogue.pack<std::uint32_t>(9);  // vertex count beyond any element's
+    pm->network().send(0, 1, std::move(rogue));
+    try {
+      pm->ghostLayers(1);
+      ADD_FAILURE() << "oversized vertex count accepted, threads " << threads;
+    } catch (const pcu::Error& e) {
+      EXPECT_EQ(e.code(), pcu::ErrorCode::kValidation) << e.what();
+      EXPECT_EQ(e.rank(), 1);
+      EXPECT_EQ(e.peer(), 0);
+    }
+  }
+}
+
 TEST(Ghost, TwoLayersStrictlyLarger) {
   auto gen = meshgen::boxTets(6, 2, 2);
   auto pm = dist::PartedMesh::distribute(*gen.mesh, gen.model.get(),

@@ -365,8 +365,10 @@ double globalMeasure(dist::PartedMesh& pm) {
   return v;
 }
 
+// No padding bytes: gtest prints a parameter's raw bytes into the listed
+// test name, and padding would make that name differ from run to run.
 struct MeshCase {
-  bool three_d;
+  std::uint64_t three_d;  // 0: triangles, 1: tetrahedra
   std::uint64_t seed;
 };
 

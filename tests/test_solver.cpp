@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "core/measure.hpp"
 #include "dist/partedmesh.hpp"
 #include "field/field.hpp"
 #include "meshgen/boxmesh.hpp"
+#include "meshgen/workloads.hpp"
 #include "part/partition.hpp"
 #include "solver/poisson.hpp"
 
@@ -138,6 +141,86 @@ TEST(Poisson, TwoDimensionalMesh) {
   EXPECT_TRUE(report.converged);
   EXPECT_LT(maxError(*pm, exact), 1e-9);
 }
+
+/// Bitwise hash of the field "u": one entry per vertex location (the
+/// coordinates' bit patterns), holding the bit pattern of its value. Every
+/// copy of a vertex must carry bitwise the same value.
+std::uint64_t solutionHash(dist::PartedMesh& pm) {
+  using Key = std::array<std::uint64_t, 3>;
+  std::map<Key, std::uint64_t> bits;
+  for (PartId p = 0; p < pm.parts(); ++p) {
+    auto& mesh = pm.part(p).mesh();
+    field::Field u(mesh, "u", field::ValueType::Scalar,
+                   field::Location::Vertex);
+    for (Ent v : mesh.entities(0)) {
+      const Vec3 x = mesh.point(v);
+      const Key key{std::bit_cast<std::uint64_t>(x.x),
+                    std::bit_cast<std::uint64_t>(x.y),
+                    std::bit_cast<std::uint64_t>(x.z)};
+      const auto value = std::bit_cast<std::uint64_t>(u.getScalar(v));
+      const auto [it, fresh] = bits.emplace(key, value);
+      EXPECT_TRUE(fresh || it->second == value)
+          << "copies of one vertex disagree on part " << p;
+    }
+  }
+  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a over the sorted entries
+  auto mix = [&](std::uint64_t w) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (w >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const auto& [key, value] : bits) {
+    for (std::uint64_t k : key) mix(k);
+    mix(value);
+  }
+  return h;
+}
+
+struct GoldenCase {
+  const char* name;
+  int nparts;
+  int iterations;
+  std::uint64_t hash;
+};
+
+/// The solver's exact arithmetic is part of its contract: iteration counts
+/// and every bit of the solution are pinned for a fixed input, in serial
+/// and threaded delivery alike.
+class PoissonGolden
+    : public ::testing::TestWithParam<std::tuple<GoldenCase, int>> {};
+
+TEST_P(PoissonGolden, IterationsAndSolutionBitsArePinned) {
+  const auto& [golden, threads] = GetParam();
+  const bool is2d = std::string(golden.name) == "tris";
+  auto gen = is2d ? meshgen::boxTris(9, 7)
+                  : meshgen::vessel({.circumferential = 4, .axial = 10});
+  auto pm = parted(gen, golden.nparts);
+  pm->network().setDeliveryThreads(threads);
+  const auto report = solver::solvePoisson(
+      *pm,
+      [](const Vec3& x) { return 1.0 + 0.5 * std::sin(1.3 * x.x + 0.7 * x.y + 0.4 * x.z); },
+      [](const Vec3& x) { return 0.25 * x.x - 0.5 * x.y + 0.125 * x.z; },
+      {.max_iterations = 1000, .tolerance = 1e-10});
+  EXPECT_TRUE(report.converged);
+  EXPECT_EQ(report.iterations, golden.iterations);
+  EXPECT_EQ(solutionHash(*pm), golden.hash)
+      << std::hex << "0x" << solutionHash(*pm);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fixed, PoissonGolden,
+    ::testing::Combine(
+        ::testing::Values(GoldenCase{"vessel", 1, 26, 0x50f6e612dad48e04ull},
+                          GoldenCase{"vessel", 4, 26, 0xc67ef7260224751bull},
+                          GoldenCase{"vessel", 8, 26, 0xc044ec589eae34bbull},
+                          GoldenCase{"tris", 5, 31, 0xb0fd75e41f58bcf5ull}),
+        ::testing::Values(0, 4)),
+    [](const auto& info) {
+      const GoldenCase& golden = std::get<0>(info.param);
+      return std::string(golden.name) + std::to_string(golden.nparts) +
+             (std::get<1>(info.param) > 1 ? "_threaded" : "_serial");
+    });
 
 TEST(Poisson, RefusesGhostedMesh) {
   auto gen = meshgen::boxTets(2, 2, 2);

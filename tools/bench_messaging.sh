@@ -43,6 +43,14 @@ python3 - "$TMP/pcu.json" "$TMP/migration.json" "$OUT" <<'EOF'
 import json, sys
 
 pcu, migration, out = sys.argv[1], sys.argv[2], sys.argv[3]
+
+# google-benchmark reports real_time in each row's own time_unit.
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+
+def real_ns(b):
+    return b["real_time"] * NS_PER_UNIT[b.get("time_unit", "ns")]
+
 summary = {"description": (
     "Per-peer message coalescing A/B: logical = payloads posted by the "
     "operations, physical = transport messages after coalescing (segments "
@@ -55,7 +63,7 @@ for b in json.load(open(pcu))["benchmarks"]:
         "bench": name,
         "ranks": int(arg),
         "coalesced": "Uncoalesced" not in name,
-        "ns_per_op": round(b["real_time"], 1),
+        "ns_per_op": round(real_ns(b), 1),
         "logical_msgs_per_phase": b["logical_msgs_per_phase"],
         "physical_msgs_per_phase": b["physical_msgs_per_phase"],
         "logical_bytes_per_phase": b["logical_bytes_per_phase"],
@@ -67,7 +75,7 @@ for b in json.load(open(migration))["benchmarks"]:
     summary["migration"].append({
         "bench": name,
         "parts": int(arg),
-        "ms_per_op": round(b["real_time"] / 1e6, 2),
+        "ms_per_op": round(real_ns(b) / 1e6, 2),
         "logical_msgs": b["logical_msgs"],
         "physical_msgs": b["physical_msgs"],
     })
