@@ -1,8 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <ostream>
+#include <string>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "core/measure.hpp"
+#include "dist/digest.hpp"
 #include "meshgen/boxmesh.hpp"
 #include "meshgen/workloads.hpp"
+#include "parma/balance.hpp"
 #include "parma/heavysplit.hpp"
 #include "parma/improve.hpp"
 #include "parma/metrics.hpp"
@@ -338,5 +348,140 @@ TEST(HeavySplit, LegacyPathNeverChangesPartCount) {
   for (int d = 0; d <= 3; ++d)
     EXPECT_EQ(pm->globalCount(d), gen.mesh->count(d));
 }
+
+/// --- golden oracle --------------------------------------------------------
+
+/// ParMA's decisions are part of its contract: for a fixed input, the
+/// rounds, iterations, migrated elements, final imbalances and the
+/// resulting partition are pinned bit for bit, in serial and threaded
+/// delivery alike. Any change to how diffusion plans or migrates must
+/// reproduce them exactly.
+struct ParmaGolden {
+  const char* name;
+  int rounds;                    ///< BalanceReport::rounds (0 for improve)
+  std::vector<int> iterations;   ///< per-level ImproveReport iterations
+  std::size_t migrated;          ///< elements migrated
+  std::vector<std::uint64_t> final_bits;  ///< final imbalances, bitwise
+  std::uint64_t counts_hash;     ///< per-part local counts, dims 0-3
+  std::size_t boundary;          ///< boundaryCopies(pm, 0)
+  std::uint64_t fingerprint;
+  std::uint64_t digests_hash;    ///< element-digest multiset
+};
+
+std::uint64_t mixIn(std::uint64_t h, std::uint64_t v) {
+  v *= 0x9e3779b97f4a7c15ull;
+  v ^= v >> 32;
+  h = (h ^ v) * 0xff51afd7ed558ccdull;
+  return h ^ (h >> 29);
+}
+
+std::uint64_t countsHash(const dist::PartedMesh& pm) {
+  std::uint64_t h = 0;
+  for (PartId p = 0; p < pm.parts(); ++p)
+    for (int d = 0; d <= 3; ++d) h = mixIn(h, pm.part(p).mesh().count(d));
+  return h;
+}
+
+std::uint64_t digestsHash(const dist::PartedMesh& pm) {
+  std::uint64_t h = 0;
+  for (std::uint64_t d : dist::digest::elementDigests(pm)) h = mixIn(h, d);
+  return h;
+}
+
+ParmaGolden runGolden(const std::string& name, int threads) {
+  ParmaGolden got{};
+  const bool balance = name.rfind("rgn", 0) == 0;
+  const int nparts = name == "rgn16" ? 16 : 8;
+  auto gen = meshgen::vessel({.circumferential = 6, .axial = 24});
+  if (!balance) {
+    common::Rng rng(17);
+    meshgen::jiggle(*gen.mesh, 0.2, rng);
+  }
+  auto pm = imbalancedPartition(gen, nparts, 0.4);
+  pm->network().setDeliveryThreads(threads);
+  if (balance) {
+    const auto report = parma::balance(*pm, "Rgn", {.tolerance = 0.05});
+    got.rounds = report.rounds;
+    got.migrated = report.elements_migrated;
+    got.final_bits = {std::bit_cast<std::uint64_t>(report.final_imbalance)};
+  } else {
+    const auto report = parma::improve(
+        *pm, name == "vtx_rgn" ? "Vtx>Rgn" : "Edge=Face>Rgn",
+        {.tolerance = 0.05});
+    for (const auto& level : report.levels) {
+      got.iterations.push_back(level.iterations);
+      got.final_bits.push_back(
+          std::bit_cast<std::uint64_t>(level.final_imbalance));
+    }
+    got.migrated = report.totalMigrated();
+  }
+  pm->verify();
+  got.counts_hash = countsHash(*pm);
+  got.boundary = parma::boundaryCopies(*pm, 0);
+  got.fingerprint = pm->fingerprint();
+  got.digests_hash = digestsHash(*pm);
+  return got;
+}
+
+std::string describe(const ParmaGolden& g) {
+  std::string s = "rounds " + std::to_string(g.rounds) + ", iterations {";
+  for (int i : g.iterations) s += std::to_string(i) + ",";
+  s += "}, migrated " + std::to_string(g.migrated) + ", final_bits {";
+  const auto hex = [](std::uint64_t v) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "0x%016llxull",
+                  static_cast<unsigned long long>(v));
+    return std::string(buf);
+  };
+  for (auto b : g.final_bits) s += hex(b) + ",";
+  s += "}, counts " + hex(g.counts_hash) + ", boundary " +
+       std::to_string(g.boundary) + ", fingerprint " + hex(g.fingerprint) +
+       ", digests " + hex(g.digests_hash);
+  return s;
+}
+
+void PrintTo(const ParmaGolden& g, std::ostream* os) { *os << g.name; }
+
+class ParmaGoldenTest
+    : public ::testing::TestWithParam<std::tuple<ParmaGolden, int>> {};
+
+TEST_P(ParmaGoldenTest, DecisionsAndPartitionArePinned) {
+  const auto& [want, threads] = GetParam();
+  const ParmaGolden got = runGolden(want.name, threads);
+  EXPECT_EQ(got.rounds, want.rounds);
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.migrated, want.migrated);
+  EXPECT_EQ(got.final_bits, want.final_bits);
+  EXPECT_EQ(got.counts_hash, want.counts_hash);
+  EXPECT_EQ(got.boundary, want.boundary);
+  EXPECT_EQ(got.fingerprint, want.fingerprint);
+  EXPECT_EQ(got.digests_hash, want.digests_hash);
+  if (HasFailure()) ADD_FAILURE() << want.name << ": " << describe(got);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fixed, ParmaGoldenTest,
+    ::testing::Combine(
+        ::testing::Values(
+            ParmaGolden{"rgn8", 1, {}, 261, {0x3ff097b425ed097bull},
+                        0xf42acbb6d10128c6ull, 927, 0x1de89a3b909b1befull,
+                        0x358e21671bc3b3c3ull},
+            ParmaGolden{"rgn16", 1, {}, 183, {0x3ff0bda12f684bdaull},
+                        0x450c71bf47250edcull, 1402, 0xfc6b6c006a0c9c94ull,
+                        0x358e21671bc3b3c3ull},
+            ParmaGolden{"vtx_rgn", 0, {3, 1}, 307,
+                        {0x3ff11262918909bcull, 0x3ff0c3f35ba78195ull},
+                        0x3c5907a46f4c1b78ull, 904, 0x678021eb2f5cf5e8ull,
+                        0x5e3f3081d6badcf7ull},
+            ParmaGolden{"edge_face_rgn", 0, {6, 0, 2}, 261,
+                        {0x3ff1763149eee65aull, 0x3ff1945fd536786dull,
+                         0x3ff09161f9add3c1ull},
+                        0xc366f86326021ceaull, 898, 0xb95286b902823787ull,
+                        0x5e3f3081d6badcf7ull}),
+        ::testing::Values(0, 4)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param).name) +
+             (std::get<1>(info.param) > 1 ? "_threaded" : "_serial");
+    });
 
 }  // namespace
