@@ -1,6 +1,7 @@
 #include "core/tagio.hpp"
 
 #include <cstdint>
+#include <cstring>
 #include <typeindex>
 
 namespace core {
@@ -71,6 +72,41 @@ void skipTags(pcu::InBuffer& buf) {
         break;
     }
   }
+}
+
+std::optional<std::size_t> tagsExtent(const std::byte* data,
+                                      std::size_t size) {
+  std::size_t pos = 0;
+  const auto read = [&](auto& value) {
+    if (size - pos < sizeof(value)) return false;
+    std::memcpy(&value, data + pos, sizeof(value));
+    pos += sizeof(value);
+    return true;
+  };
+  const auto skip = [&](std::uint64_t n) {
+    if (size - pos < n) return false;
+    pos += static_cast<std::size_t>(n);
+    return true;
+  };
+  std::uint32_t count = 0;
+  if (!read(count)) return std::nullopt;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    std::uint64_t name_len = 0, n = 0;
+    TagType code{};
+    std::uint32_t components = 0;
+    if (!read(name_len) || !skip(name_len) || !read(code) ||
+        !read(components) || !read(n))
+      return std::nullopt;
+    std::uint64_t width = 0;
+    switch (code) {
+      case TagType::Int: width = sizeof(int); break;
+      case TagType::Long: width = sizeof(long); break;
+      case TagType::Double: width = sizeof(double); break;
+      default: return std::nullopt;
+    }
+    if (n > (size - pos) / width || !skip(n * width)) return std::nullopt;
+  }
+  return pos;
 }
 
 void unpackTags(core::Mesh& mesh, core::Ent e, pcu::InBuffer& buf) {

@@ -9,6 +9,9 @@
 /// are part-local and are not transported (documented limitation matching
 /// the ITAPS basic tag types).
 
+#include <cstddef>
+#include <optional>
+
 #include "core/mesh.hpp"
 #include "pcu/buffer.hpp"
 
@@ -25,6 +28,12 @@ void unpackTags(core::Mesh& mesh, core::Ent e, pcu::InBuffer& buf);
 
 /// Advance past a packTags record without applying it.
 void skipTags(pcu::InBuffer& buf);
+
+/// Byte length of the packTags record at the start of the `size` bytes at
+/// `data`, or std::nullopt when those bytes end inside it or name an
+/// unknown tag type. Lets a decoder of untrusted bytes reject a malformed
+/// record before unpackTags reads it.
+std::optional<std::size_t> tagsExtent(const std::byte* data, std::size_t size);
 
 }  // namespace core
 

@@ -18,11 +18,25 @@
 ///      release message instead.
 ///   D. Each part deletes moved-out elements, then released entities in
 ///      descending dimension order (at which point nothing bounds them).
+///
+/// Protocol records travel packed: in every phase each sender appends its
+/// records for part q to one body in the order its loop visits them and
+/// posts one body per (from, to) pair after that loop; a receiver decodes a
+/// body's records in order. Entity insertions, handle creation and the
+/// physical message per channel are therefore exactly those of one message
+/// per record. B-phase handle replies go back to the sender of the creation
+/// body, which is always the owner named in the record's key. Bodies are
+/// untrusted: every decoder consumes whole records only and rejects a short
+/// or trailing record, a dead handle or an out-of-range field with
+/// pcu::Error(kValidation) naming the receiving part (rank) and the sender
+/// (peer).
 
 #include <algorithm>
 #include <array>
 #include <cassert>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "common/flatmap.hpp"
 #include "dist/keymaps_impl.hpp"
@@ -41,12 +55,95 @@ void packKey(pcu::OutBuffer& b, const GKey& k) {
   b.pack<std::uint64_t>(k.ent.packed());
 }
 
-GKey unpackKey(pcu::InBuffer& b) {
-  GKey k;
-  k.part = b.unpack<std::int32_t>();
-  k.ent = core::Ent::unpack(b.unpack<std::uint64_t>());
-  return k;
-}
+/// One packed body per destination part for the sender whose loop is
+/// running. post() sends every non-empty body and leaves all of them empty
+/// for the next sender.
+class PeerBodies {
+ public:
+  explicit PeerBodies(std::size_t nparts) : bodies_(nparts) {}
+  pcu::OutBuffer& operator[](PartId to) {
+    return bodies_[static_cast<std::size_t>(to)];
+  }
+  void post(Network& net, PartId from) {
+    for (std::size_t to = 0; to < bodies_.size(); ++to)
+      if (!bodies_[to].empty())
+        net.send(from, static_cast<PartId>(to),
+                 std::exchange(bodies_[to], pcu::OutBuffer{}));
+  }
+
+ private:
+  std::vector<pcu::OutBuffer> bodies_;
+};
+
+/// Bounds-checked decoder of one packed body received by part `to` from
+/// part `from`. Every read checks the bytes left, so a malformed body is a
+/// pcu::Error(kValidation) naming the channel, never an InBuffer assert.
+class Records {
+ public:
+  Records(PartId to, PartId from, std::size_t nparts, const char* phase,
+          pcu::InBuffer& body)
+      : to_(to), from_(from), nparts_(nparts), phase_(phase), body_(body) {}
+
+  /// Reject the body up front unless it holds whole `size`-byte records.
+  void requireWhole(std::size_t size) const {
+    if (body_.remaining() % size != 0)
+      reject(std::to_string(body_.remaining() % size) +
+             " trailing bytes after the last " + std::to_string(size) +
+             "-byte record");
+  }
+  [[nodiscard]] bool more() const { return !body_.done(); }
+
+  template <typename T>
+  T take() {
+    if (body_.remaining() < sizeof(T)) reject("short record");
+    return body_.unpack<T>();
+  }
+  /// A handle that must name a live entity of `mesh`.
+  Ent live(const core::Mesh& mesh) {
+    const auto bits = take<std::uint64_t>();
+    const Ent e = Ent::unpack(bits);
+    if ((bits >> 32) >= static_cast<std::uint64_t>(core::kTopoCount) ||
+        !mesh.alive(e))
+      reject("entity handle " + std::to_string(bits) +
+             " is not alive on the receiver");
+    return e;
+  }
+  PartId part() {
+    const auto q = take<std::int32_t>();
+    if (q < 0 || static_cast<std::size_t>(q) >= nparts_)
+      reject("part " + std::to_string(q) + " out of range");
+    return q;
+  }
+  /// A count of at most `limit` items of `item_bytes` each, all present.
+  std::size_t count(std::uint64_t n, std::uint64_t limit,
+                    std::size_t item_bytes) const {
+    if (n > limit || n * item_bytes > body_.remaining())
+      reject("record announces " + std::to_string(n) + " items (limit " +
+             std::to_string(limit) + ", " +
+             std::to_string(body_.remaining()) + " bytes left)");
+    return static_cast<std::size_t>(n);
+  }
+  /// Check that a packTags section follows, then apply it to `e`.
+  void checkTags() const {
+    if (!core::tagsExtent(body_.cursor(), body_.remaining()))
+      reject("truncated or malformed tag section");
+  }
+  void tags(core::Mesh& mesh, Ent e) { unpackTags(mesh, e, body_); }
+
+  [[noreturn]] void reject(const std::string& what) const {
+    throw pcu::Error(pcu::ErrorCode::kValidation, static_cast<int>(to_),
+                     static_cast<int>(from_), kNetChannelTag,
+                     std::string("migrate ") + phase_ + ": " + what +
+                         " (from part " + std::to_string(from_) +
+                         " to part " + std::to_string(to_) + ")");
+  }
+
+ private:
+  PartId to_, from_;
+  std::size_t nparts_;
+  const char* phase_;
+  pcu::InBuffer& body_;
+};
 
 void addUnique(std::vector<PartId>& v, PartId p) {
   if (std::find(v.begin(), v.end(), p) == v.end()) v.push_back(p);
@@ -154,6 +251,7 @@ void PartedMesh::migrateBody(const MigrationPlan& plan) {
   std::vector<std::vector<std::pair<Ent, PartId>>> moving(nparts);
   std::vector<common::FlatSet<Ent, EntHash>> participating(nparts);
 
+  PeerBodies out(nparts);
   for (std::size_t pi = 0; pi < nparts; ++pi) {
     Part& p = *parts_[pi];
     std::array<Ent, core::kMaxDown> buf{};
@@ -170,32 +268,33 @@ void PartedMesh::migrateBody(const MigrationPlan& plan) {
     for (Ent e : participating[pi]) {
       const GKey key = keyOf(p, e);
       if (key.part == p.id()) continue;
-      pcu::OutBuffer b;
-      b.pack<std::uint64_t>(key.ent.packed());
-      net_.send(p.id(), key.part, std::move(b));
+      out[key.part].pack<std::uint64_t>(key.ent.packed());
     }
+    out.post(net_, p.id());
   }
-  net_.deliverAll([&](PartId to, PartId, pcu::InBuffer body) {
-    participating[static_cast<std::size_t>(to)].insert(
-        Ent::unpack(body.unpack<std::uint64_t>()));
-  });
+  // Records: one live local handle each.
+  auto joinParticipants = [&](const char* phase) {
+    net_.deliverAll([&](PartId to, PartId from, pcu::InBuffer body) {
+      Records in(to, from, nparts, phase, body);
+      in.requireWhole(sizeof(std::uint64_t));
+      const core::Mesh& mesh = parts_[static_cast<std::size_t>(to)]->mesh();
+      auto& joined = participating[static_cast<std::size_t>(to)];
+      while (in.more()) joined.insert(in.live(mesh));
+    });
+  };
+  joinParticipants("A0 notify");
   // Owners pull every copy of a touched shared entity into the protocol.
   for (std::size_t pi = 0; pi < nparts; ++pi) {
     Part& p = *parts_[pi];
     for (Ent e : participating[pi]) {
       const Remote* r = p.remote(e);
       if (r == nullptr || r->owner != p.id()) continue;
-      for (const Copy& c : r->copies) {
-        pcu::OutBuffer b;
-        b.pack<std::uint64_t>(c.ent.packed());
-        net_.send(p.id(), c.part, std::move(b));
-      }
+      for (const Copy& c : r->copies)
+        out[c.part].pack<std::uint64_t>(c.ent.packed());
     }
+    out.post(net_, p.id());
   }
-  net_.deliverAll([&](PartId to, PartId, pcu::InBuffer body) {
-    participating[static_cast<std::size_t>(to)].insert(
-        Ent::unpack(body.unpack<std::uint64_t>()));
-  });
+  joinParticipants("A0 pull");
   pcu::trace::end("migrate:A0-participants");
 
   // --- Phase A: local residence contributions -> owners -------------------
@@ -217,18 +316,26 @@ void PartedMesh::migrateBody(const MigrationPlan& plan) {
         auto& rec = records[pi][e];
         for (PartId d : res) addUnique(rec.new_res, d);
       } else {
-        pcu::OutBuffer b;
+        auto& b = out[key.part];
         b.pack<std::uint64_t>(key.ent.packed());
         b.packVector(res);
-        net_.send(p.id(), key.part, std::move(b));
       }
     }
+    out.post(net_, p.id());
   }
-  net_.deliverAll([&](PartId to, PartId, pcu::InBuffer body) {
-    const Ent e = Ent::unpack(body.unpack<std::uint64_t>());
-    auto res = body.unpackVector<PartId>();
-    auto& rec = records[static_cast<std::size_t>(to)][e];
-    for (PartId d : res) addUnique(rec.new_res, d);
+  // Records: (owner handle, destination parts).
+  net_.deliverAll([&](PartId to, PartId from, pcu::InBuffer body) {
+    Records in(to, from, nparts, "A residence", body);
+    const core::Mesh& mesh = parts_[static_cast<std::size_t>(to)]->mesh();
+    std::vector<PartId> res;
+    while (in.more()) {
+      const Ent e = in.live(mesh);
+      res.resize(in.count(in.take<std::uint64_t>(), nparts, sizeof(PartId)));
+      if (res.empty()) in.reject("empty residence");
+      for (PartId& d : res) d = in.part();
+      auto& rec = records[static_cast<std::size_t>(to)][e];
+      for (PartId d : res) addUnique(rec.new_res, d);
+    }
   });
   for (auto& m : records)
     for (auto& [e, rec] : m) std::sort(rec.new_res.begin(), rec.new_res.end());
@@ -253,81 +360,111 @@ void PartedMesh::migrateBody(const MigrationPlan& plan) {
     }
     packTags(p.mesh(), e, b);
   };
-  auto createFromPayload = [&](PartId to, pcu::InBuffer& body) {
-    const GKey key = unpackKey(body);
-    const auto topo = static_cast<core::Topo>(body.unpack<std::uint8_t>());
-    const auto cls_dim = body.unpack<std::int32_t>();
-    const auto cls_tag = body.unpack<std::int32_t>();
+  // Creation record: owner key, topology, classification, then the
+  // coordinates or vertex keys, then the tags. The whole record is checked
+  // before the entity is created.
+  auto createFromPayload = [&](PartId to, PartId from, int d, Records& in) {
+    Part& p = *parts_[static_cast<std::size_t>(to)];
+    const auto& by_key = keys.by_key[static_cast<std::size_t>(to)];
+    const auto readKey = [&] {
+      GKey k;
+      k.part = in.part();
+      k.ent = Ent::unpack(in.take<std::uint64_t>());
+      return k;
+    };
+    const GKey key = readKey();
+    if (key.part != from)
+      in.reject("creation key names owner part " + std::to_string(key.part));
+    const auto topo_bits = in.take<std::uint8_t>();
+    const auto topo = static_cast<core::Topo>(topo_bits);
+    if (topo_bits >= core::kTopoCount || core::topoDim(topo) != d)
+      in.reject("topology " + std::to_string(topo_bits) +
+                " in the dimension " + std::to_string(d) + " phase");
+    const auto cls_dim = in.take<std::int32_t>();
+    const auto cls_tag = in.take<std::int32_t>();
     gmi::Entity* cls =
         cls_dim >= 0 ? model_->find(cls_dim, cls_tag) : nullptr;
-    Part& p = *parts_[static_cast<std::size_t>(to)];
-    Ent local;
+    common::Vec3 x{};
+    std::array<Ent, 8> lv{};
+    std::uint32_t nv = 0;
     if (topo == core::Topo::Vertex) {
-      const auto x = body.unpack<common::Vec3>();
-      local = p.mesh().createVertex(x, cls);
+      x = in.take<common::Vec3>();
     } else {
-      const auto nv = body.unpack<std::uint32_t>();
-      std::array<Ent, 8> lv{};
-      for (std::uint32_t k = 0; k < nv; ++k)
-        lv[k] = keys.resolve(to, unpackKey(body));
-      local = p.mesh().buildElement(topo, {lv.data(), nv}, cls);
+      nv = in.take<std::uint32_t>();
+      if (nv > lv.size() ||
+          static_cast<int>(nv) != core::topoVertexCount(topo))
+        in.reject(std::to_string(nv) + " vertices for a " +
+                  core::topoName(topo));
+      for (std::uint32_t k = 0; k < nv; ++k) {
+        const GKey vk = readKey();
+        if (vk.part == to) {
+          if (vk.ent.topo() != core::Topo::Vertex || !p.mesh().alive(vk.ent))
+            in.reject("vertex key names no live local vertex");
+          lv[k] = vk.ent;
+        } else {
+          const auto it = by_key.find(vk);
+          if (it == by_key.end())
+            in.reject("vertex key of part " + std::to_string(vk.part) +
+                      " unknown to the receiver");
+          lv[k] = it->second;
+        }
+      }
     }
-    unpackTags(p.mesh(), local, body);
+    in.checkTags();
+    const Ent local = topo == core::Topo::Vertex
+                          ? p.mesh().createVertex(x, cls)
+                          : p.mesh().buildElement(topo, {lv.data(), nv}, cls);
+    in.tags(p.mesh(), local);
     keys.by_key[static_cast<std::size_t>(to)][key] = local;
     return std::pair{key, local};
   };
 
   for (int d = 0; d <= dim; ++d) {
     // Post creation payloads.
-    if (d < dim) {
-      for (std::size_t pi = 0; pi < nparts; ++pi) {
-        Part& p = *parts_[pi];
+    for (std::size_t pi = 0; pi < nparts; ++pi) {
+      Part& p = *parts_[pi];
+      if (d < dim) {
         for (auto& [e, rec] : records[pi]) {
           if (core::topoDim(e.topo()) != d) continue;
           const auto current = p.residence(e);
-          for (PartId t : rec.new_res) {
-            if (std::find(current.begin(), current.end(), t) != current.end())
-              continue;
-            pcu::OutBuffer b;
-            packCreation(p, e, b);
-            net_.send(p.id(), t, std::move(b));
-          }
+          for (PartId t : rec.new_res)
+            if (std::find(current.begin(), current.end(), t) == current.end())
+              packCreation(p, e, out[t]);
         }
-      }
-    } else {
-      for (std::size_t pi = 0; pi < nparts; ++pi) {
-        Part& p = *parts_[pi];
-        // Element counts per destination are known exactly — pre-size the
-        // transport staging so the send loop never regrows a group.
-        std::vector<std::size_t> ndest(nparts, 0);
+      } else {
         for (const auto& [elem, dest] : moving[pi])
-          ++ndest[static_cast<std::size_t>(dest)];
-        for (std::size_t t = 0; t < nparts; ++t)
-          net_.reserveStage(p.id(), static_cast<PartId>(t), ndest[t]);
-        for (const auto& [elem, dest] : moving[pi]) {
-          pcu::OutBuffer b;
-          packCreation(p, elem, b);
-          net_.send(p.id(), dest, std::move(b));
+          packCreation(p, elem, out[dest]);
+      }
+      out.post(net_, p.id());
+    }
+    // Deliver creations; receivers reply to the owner with their new
+    // handles, one (owner handle, new handle) record per creation.
+    net_.deliverAll([&](PartId to, PartId from, pcu::InBuffer body) {
+      Records in(to, from, nparts, "B create", body);
+      pcu::OutBuffer reply;
+      while (in.more()) {
+        const auto [key, local] = createFromPayload(to, from, d, in);
+        if (d < dim) {
+          reply.pack<std::uint64_t>(key.ent.packed());
+          reply.pack<std::uint64_t>(local.packed());
         }
       }
-    }
-    // Deliver creations; receivers reply with their new handles.
-    net_.deliverAll([&](PartId to, PartId, pcu::InBuffer body) {
-      const auto [key, local] = createFromPayload(to, body);
-      if (d < dim) {
-        pcu::OutBuffer reply;
-        reply.pack<std::uint64_t>(key.ent.packed());
-        reply.pack<std::uint64_t>(local.packed());
-        net_.send(to, key.part, std::move(reply));
-      }
+      if (!reply.empty()) net_.send(to, from, std::move(reply));
     });
     // Deliver handle replies to owners.
     net_.deliverAll([&](PartId to, PartId from, pcu::InBuffer body) {
-      const Ent e = Ent::unpack(body.unpack<std::uint64_t>());
-      const Ent handle = Ent::unpack(body.unpack<std::uint64_t>());
-      records[static_cast<std::size_t>(to)]
-          .at(e)
-          .new_copies.push_back(Copy{from, handle});
+      Records in(to, from, nparts, "B reply", body);
+      in.requireWhole(2 * sizeof(std::uint64_t));
+      auto& owned = records[static_cast<std::size_t>(to)];
+      while (in.more()) {
+        const auto bits = in.take<std::uint64_t>();
+        const Ent handle = Ent::unpack(in.take<std::uint64_t>());
+        const auto it = owned.find(Ent::unpack(bits));
+        if (it == owned.end())
+          in.reject("handle reply for entity " + std::to_string(bits) +
+                    " with no migration record");
+        it->second.new_copies.push_back(Copy{from, handle});
+      }
     });
   }
   pcu::trace::end("migrate:B-create");
@@ -353,7 +490,7 @@ void PartedMesh::migrateBody(const MigrationPlan& plan) {
       const PartId new_owner = chooseOwner(rec.new_res);
       // Retained residence parts get the final record.
       for (const Copy& c : final_copies) {
-        pcu::OutBuffer b;
+        auto& b = out[c.part];
         b.pack<std::uint8_t>(1);  // kind: finalize
         b.pack<std::uint64_t>(c.ent.packed());
         b.pack<std::int32_t>(new_owner);
@@ -362,43 +499,49 @@ void PartedMesh::migrateBody(const MigrationPlan& plan) {
           b.pack<std::int32_t>(o.part);
           b.pack<std::uint64_t>(o.ent.packed());
         }
-        net_.send(p.id(), c.part, std::move(b));
       }
       // Dropped parts get a release.
       for (const Copy& c : all) {
         if (std::find(rec.new_res.begin(), rec.new_res.end(), c.part) !=
             rec.new_res.end())
           continue;
-        pcu::OutBuffer b;
+        auto& b = out[c.part];
         b.pack<std::uint8_t>(0);  // kind: release
         b.pack<std::uint64_t>(c.ent.packed());
-        net_.send(p.id(), c.part, std::move(b));
       }
     }
+    out.post(net_, p.id());
   }
-  net_.deliverAll([&](PartId to, PartId, pcu::InBuffer body) {
+  // Records: a release (kind 0, local handle) or a finalize (kind 1, local
+  // handle, owner, copy list).
+  net_.deliverAll([&](PartId to, PartId from, pcu::InBuffer body) {
+    Records in(to, from, nparts, "C finalize", body);
     Part& p = *parts_[static_cast<std::size_t>(to)];
-    const auto kind = body.unpack<std::uint8_t>();
-    const Ent local = Ent::unpack(body.unpack<std::uint64_t>());
-    if (kind == 0) {
-      p.remotes_.erase(local);
-      to_delete[static_cast<std::size_t>(to)].push_back(local);
-      return;
+    while (in.more()) {
+      const auto kind = in.take<std::uint8_t>();
+      if (kind > 1) in.reject("record kind " + std::to_string(kind));
+      const Ent local = in.live(p.mesh());
+      if (kind == 0) {
+        p.remotes_.erase(local);
+        to_delete[static_cast<std::size_t>(to)].push_back(local);
+        continue;
+      }
+      Remote r;
+      r.owner = in.part();
+      const std::size_t n =
+          in.count(in.take<std::uint32_t>(), nparts,
+                   sizeof(std::int32_t) + sizeof(std::uint64_t));
+      for (std::size_t i = 0; i < n; ++i) {
+        Copy c;
+        c.part = in.part();
+        c.ent = Ent::unpack(in.take<std::uint64_t>());
+        if (c.part != to) r.copies.push_back(c);
+      }
+      if (r.copies.empty())
+        p.remotes_.erase(local);  // became interior
+      else
+        p.remotes_[local] = std::move(r);
     }
-    const PartId owner = body.unpack<std::int32_t>();
-    const auto n = body.unpack<std::uint32_t>();
-    Remote r;
-    r.owner = owner;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      Copy c;
-      c.part = body.unpack<std::int32_t>();
-      c.ent = Ent::unpack(body.unpack<std::uint64_t>());
-      if (c.part != to) r.copies.push_back(c);
-    }
-    if (r.copies.empty())
-      p.remotes_.erase(local);  // became interior
-    else
-      p.remotes_[local] = std::move(r);
   });
   pcu::trace::end("migrate:C-finalize");
 

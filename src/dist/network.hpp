@@ -164,26 +164,6 @@ class Network {
   void setCoalescing(bool on) { coalesce_ = on; }
   [[nodiscard]] bool coalescing() const { return coalesce_; }
 
-  /// Pre-size the staging for `count` upcoming payloads on (from, to):
-  /// opens the coalescing group up front and reserves its payload vector,
-  /// so a phase that knows its send counts (migration creation, keymap
-  /// exchange) avoids regrow churn inside the send loop. Purely an
-  /// optimization hint — a reserved channel that ends up unused posts
-  /// nothing. No-op with coalescing off (payloads travel individually).
-  void reserveStage(PartId from, PartId to, std::size_t count) {
-    if (!coalesce_ || count == 0) return;
-    std::lock_guard<std::mutex> lock(mutex_);
-    const std::uint64_t key = channelKey(from, to);
-    auto [it, fresh] = group_of_.try_emplace(key, staged_groups_.size());
-    if (fresh) {
-      staged_groups_.emplace_back();
-      staged_groups_.back().from = from;
-      staged_groups_.back().to = to;
-    }
-    auto& g = staged_groups_[it->second];
-    g.bodies.reserve(g.bodies.size() + count);
-  }
-
   /// True when any message is pending (staged or already flushed).
   [[nodiscard]] bool pending() const {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -453,10 +433,8 @@ class Network {
   /// fault injection apply per physical message). Caller holds mutex_.
   void flushStageLocked() {
     if (staged_groups_.empty()) return;
-    for (auto& g : staged_groups_) {
-      if (g.bodies.empty()) continue;  // reserved via reserveStage, unused
+    for (auto& g : staged_groups_)
       postSegmentLocked(g.from, g.to, std::move(g.bodies), g.logical_bytes);
-    }
     staged_groups_.clear();
     group_of_.clear();
     last_key_ = kNoKey;

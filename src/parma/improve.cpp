@@ -112,22 +112,39 @@ void sortGeom(const core::Mesh& mesh, std::vector<Ent>& es) {
   for (std::size_t i = 0; i < es.size(); ++i) es[i] = std::get<2>(keyed[i]);
 }
 
-/// Part-boundary entities of dimension `dim` shared with part q, in
-/// layout-invariant geometric order. Touches only the boundary, never the
-/// whole part mesh.
-std::vector<Ent> boundaryWith(const dist::Part& p, PartId q, int dim) {
-  std::vector<Ent> out;
-  for (const auto& [e, r] : p.remotes()) {
-    if (core::topoDim(e.topo()) != dim) continue;
-    for (const dist::Copy& c : r.copies)
-      if (c.part == q) {
-        out.push_back(e);
-        break;
+/// The part-boundary entities of one heavy part, bucketed by (dimension,
+/// peer part). A dimension's buckets are filled by one scan of remotes() on
+/// first use, so every candidate peer of an iteration shares that scan
+/// instead of rescanning the boundary per peer. Valid while the part is
+/// unchanged: one index per heavy part per iteration.
+class BoundaryIndex {
+ public:
+  BoundaryIndex(const dist::Part& p, int nparts) : part_(p), nparts_(nparts) {}
+
+  /// Entities of dimension `dim` shared with part q, in layout-invariant
+  /// geometric order. sortGeom is a total order, so the result does not
+  /// depend on the bucket's scan order. Touches only the boundary, never
+  /// the whole part mesh.
+  std::vector<Ent> with(PartId q, int dim) {
+    auto& buckets = by_peer_[static_cast<std::size_t>(dim)];
+    if (buckets.empty()) {
+      buckets.resize(static_cast<std::size_t>(nparts_));
+      for (const auto& [e, r] : part_.remotes()) {
+        if (core::topoDim(e.topo()) != dim) continue;
+        for (const dist::Copy& c : r.copies)
+          buckets[static_cast<std::size_t>(c.part)].push_back(e);
       }
+    }
+    std::vector<Ent> out = buckets[static_cast<std::size_t>(q)];
+    sortGeom(part_.mesh(), out);
+    return out;
   }
-  sortGeom(p.mesh(), out);
-  return out;
-}
+
+ private:
+  const dist::Part& part_;
+  int nparts_;
+  std::array<std::vector<std::vector<Ent>>, 4> by_peer_;
+};
 
 /// Upward adjacency of `f` in geometric order (the pool order of up() is
 /// layout-dependent).
@@ -140,12 +157,13 @@ std::vector<Ent> upSorted(const core::Mesh& mesh, Ent f) {
 
 /// Fig. 9 selection (element balancing): elements next to the q-boundary
 /// with more boundary faces than interior faces.
-std::vector<Cavity> selectForElements(const dist::Part& p, PartId q,
+std::vector<Cavity> selectForElements(const dist::Part& p,
+                                      BoundaryIndex& boundary, PartId q,
                                       int elem_dim) {
   std::vector<Cavity> out;
   common::FlatSet<Ent, EntHash> chosen;
   const auto& mesh = p.mesh();
-  const auto shared_faces = boundaryWith(p, q, elem_dim - 1);
+  const auto shared_faces = boundary.with(q, elem_dim - 1);
   for (Ent f : shared_faces) {
     for (Ent e : upSorted(mesh, f)) {
       if (p.isGhost(e) || chosen.count(e)) continue;
@@ -175,13 +193,14 @@ std::vector<Cavity> selectForElements(const dist::Part& p, PartId q,
 /// q that bound at most two local faces; the adjacent elements form the
 /// cavity (case (a) — case (b), three or more faces, is skipped because it
 /// would grow the boundary).
-std::vector<Cavity> selectForEdgesFaces(const dist::Part& p, PartId q,
+std::vector<Cavity> selectForEdgesFaces(const dist::Part& p,
+                                        BoundaryIndex& boundary, PartId q,
                                         int elem_dim) {
   std::vector<Cavity> out;
   common::FlatSet<Ent, EntHash> chosen;
   const auto& mesh = p.mesh();
   core::AdjVec adj;
-  for (Ent e : boundaryWith(p, q, 1)) {
+  for (Ent e : boundary.with(q, 1)) {
     if (mesh.up(e).size() > 2) continue;
     Cavity cav;
     bool clash = false;
@@ -202,13 +221,14 @@ std::vector<Cavity> selectForEdgesFaces(const dist::Part& p, PartId q,
 /// Vertex balancing (Zhou's strategy): boundary vertices shared with q
 /// whose local element cavity is small; moving the whole cavity removes
 /// the vertex from this part.
-std::vector<Cavity> selectForVertices(const dist::Part& p, PartId q,
+std::vector<Cavity> selectForVertices(const dist::Part& p,
+                                      BoundaryIndex& boundary, PartId q,
                                       int elem_dim, int max_cavity) {
   std::vector<Cavity> out;
   common::FlatSet<Ent, EntHash> chosen;
   const auto& mesh = p.mesh();
   core::AdjVec adj;
-  for (Ent v : boundaryWith(p, q, 0)) {
+  for (Ent v : boundary.with(q, 0)) {
     Cavity cav;
     bool clash = false;
     const int na = mesh.adjacentInto(v, elem_dim, adj);
@@ -233,34 +253,44 @@ std::vector<Cavity> selectForVertices(const dist::Part& p, PartId q,
                    });
   // Fallback: when no vertex has a small enough local star, fall back to
   // boundary-hugging single elements (still shifts boundary vertices).
-  if (out.empty()) return selectForElements(p, q, elem_dim);
+  if (out.empty()) return selectForElements(p, boundary, q, elem_dim);
   return out;
 }
 
 /// Ablation selection: every element touching the q-boundary, one per
 /// cavity, with no boundary-quality consideration.
-std::vector<Cavity> selectNaive(const dist::Part& p, PartId q, int elem_dim) {
+std::vector<Cavity> selectNaive(const dist::Part& p, BoundaryIndex& boundary,
+                                PartId q, int elem_dim) {
   std::vector<Cavity> out;
   common::FlatSet<Ent, EntHash> chosen;
   const auto& mesh = p.mesh();
-  for (Ent f : boundaryWith(p, q, elem_dim - 1)) {
+  for (Ent f : boundary.with(q, elem_dim - 1)) {
     for (Ent e : upSorted(mesh, f))
       if (!p.isGhost(e) && chosen.insert(e).second) out.push_back(Cavity{e});
   }
   return out;
 }
 
-std::vector<Cavity> selectCavities(const dist::Part& p, PartId q, int dim,
+std::vector<Cavity> selectCavities(const dist::Part& p,
+                                   BoundaryIndex& boundary, PartId q, int dim,
                                    int elem_dim, const ImproveOptions& opts) {
-  if (!opts.heuristic_selection) return selectNaive(p, q, elem_dim);
-  if (dim == elem_dim) return selectForElements(p, q, elem_dim);
-  if (dim == 0) return selectForVertices(p, q, elem_dim, opts.max_cavity);
-  return selectForEdgesFaces(p, q, elem_dim);
+  if (!opts.heuristic_selection) return selectNaive(p, boundary, q, elem_dim);
+  if (dim == elem_dim) return selectForElements(p, boundary, q, elem_dim);
+  if (dim == 0)
+    return selectForVertices(p, boundary, q, elem_dim, opts.max_cavity);
+  return selectForEdgesFaces(p, boundary, q, elem_dim);
 }
 
-/// Closure entities of `cav` per dimension, split into those that would be
-/// *new* to q (not already shared with it) and those that would *leave* p
-/// (no local adjacent element outside the selection).
+/// What moving a cavity from p to q does to the per-dimension counts, filled
+/// only where the diffusion decision reads it (the decision reads `adds` at
+/// the balanced dimension and the protected ones, `leaves` at the balanced
+/// dimension alone; entries left 0 are never read):
+/// - at the element dimension both fields are the cavity's rounded weight;
+/// - below it, `adds[d]` counts closure entities of dimension d not yet
+///   shared with q, for every dimension the decision reads;
+/// - `leaves[d]` counts closure entities with no local element outside the
+///   selection, and only for d == the balanced dimension: it is the one
+///   field that needs the upward adjacency walk.
 struct CavityEffect {
   std::array<int, 4> adds{};    ///< entities new to q, per dim
   std::array<int, 4> leaves{};  ///< entities leaving p, per dim
@@ -272,8 +302,11 @@ double elementWeight(const core::Mesh& mesh, core::Mesh::Tag tag, Ent e) {
   return mesh.tags().getScalar<double>(tag, e);
 }
 
+/// `reads[d]` is true for the balanced dimension `dim` and every protected
+/// dimension: the only entries of the effect the decision looks at.
 CavityEffect cavityEffect(const dist::Part& p, const Cavity& cav, PartId q,
-                          int elem_dim,
+                          int elem_dim, int dim,
+                          const std::array<bool, 4>& reads,
                           const common::FlatSet<Ent, EntHash>& selected,
                           core::Mesh::Tag weight_tag) {
   CavityEffect fx;
@@ -282,27 +315,30 @@ CavityEffect cavityEffect(const dist::Part& p, const Cavity& cav, PartId q,
   fx.adds[static_cast<std::size_t>(elem_dim)] = static_cast<int>(w + 0.5);
   fx.leaves[static_cast<std::size_t>(elem_dim)] = static_cast<int>(w + 0.5);
   const auto& mesh = p.mesh();
-  common::FlatSet<Ent, EntHash> in_cavity(cav.begin(), cav.end());
   std::array<Ent, core::kMaxDown> buf{};
-  common::FlatSet<Ent, EntHash> seen;
+  std::vector<Ent> closure;
   core::AdjVec adj;
-  for (Ent elem : cav) {
-    for (int d = 0; d < elem_dim; ++d) {
+  for (int d = 0; d < elem_dim; ++d) {
+    if (!reads[static_cast<std::size_t>(d)]) continue;
+    closure.clear();
+    for (Ent elem : cav) {
       const int n = mesh.downward(elem, d, buf.data());
-      for (int i = 0; i < n; ++i) {
-        const Ent c = buf[static_cast<std::size_t>(i)];
-        if (!seen.insert(c).second) continue;
-        if (!sharedWith(p, c, q)) fx.adds[static_cast<std::size_t>(d)] += 1;
-        bool all_leaving = true;
-        const int na = mesh.adjacentInto(c, elem_dim, adj);
-        for (int k = 0; k < na; ++k) {
-          const Ent up_elem = adj[static_cast<std::size_t>(k)];
-          if (p.isGhost(up_elem)) continue;
-          if (!in_cavity.count(up_elem) && !selected.count(up_elem))
-            all_leaving = false;
-        }
-        if (all_leaving) fx.leaves[static_cast<std::size_t>(d)] += 1;
+      closure.insert(closure.end(), buf.begin(), buf.begin() + n);
+    }
+    std::sort(closure.begin(), closure.end());
+    closure.erase(std::unique(closure.begin(), closure.end()), closure.end());
+    for (Ent c : closure) {
+      if (!sharedWith(p, c, q)) fx.adds[static_cast<std::size_t>(d)] += 1;
+      if (d != dim) continue;
+      bool all_leaving = true;
+      const int na = mesh.adjacentInto(c, elem_dim, adj);
+      for (int k = 0; k < na && all_leaving; ++k) {
+        const Ent up_elem = adj[static_cast<std::size_t>(k)];
+        if (p.isGhost(up_elem)) continue;
+        all_leaving = std::find(cav.begin(), cav.end(), up_elem) != cav.end() ||
+                      selected.count(up_elem) > 0;
       }
+      if (all_leaving) fx.leaves[static_cast<std::size_t>(d)] += 1;
     }
   }
   return fx;
@@ -344,6 +380,9 @@ ImproveReport improve(dist::PartedMesh& pm, const Priority& priority,
       std::vector<int> harm = priority.higherThan(li);
       for (int other : priority.levels[li])
         if (other != dim) harm.push_back(other);
+      std::array<bool, 4> reads{};
+      reads[static_cast<std::size_t>(dim)] = true;
+      for (int dh : harm) reads[static_cast<std::size_t>(dh)] = true;
 
       LevelReport lr;
       lr.dim = dim;
@@ -411,25 +450,26 @@ ImproveReport improve(dist::PartedMesh& pm, const Priority& priority,
             return x < y;
           });
 
+          const dist::Part& part = pm.part(p);
+          const core::Mesh::Tag weight_tag =
+              opts.element_weight_tag.empty()
+                  ? nullptr
+                  : part.mesh().tags().find(opts.element_weight_tag);
+          BoundaryIndex boundary(part, nparts);
           common::FlatSet<Ent, EntHash> selected;
           int moved = 0;
           for (PartId q : cands) {
             if (moved >= budget) break;
             const auto cavities =
-                selectCavities(pm.part(p), q, dim, elem_dim, opts);
+                selectCavities(part, boundary, q, dim, elem_dim, opts);
             for (const Cavity& cav : cavities) {
               if (moved >= budget) break;
               bool overlap = false;
               for (Ent e : cav)
                 if (selected.count(e)) overlap = true;
               if (overlap) continue;
-              core::Mesh::Tag weight_tag =
-                  opts.element_weight_tag.empty()
-                      ? nullptr
-                      : pm.part(p).mesh().tags().find(
-                            opts.element_weight_tag);
-              const CavityEffect fx = cavityEffect(pm.part(p), cav, q,
-                                                   elem_dim, selected,
+              const CavityEffect fx = cavityEffect(part, cav, q, elem_dim,
+                                                   dim, reads, selected,
                                                    weight_tag);
               auto projectedAt = [&](int d) {
                 const auto& bd = balances[static_cast<std::size_t>(d)];

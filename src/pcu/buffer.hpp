@@ -125,6 +125,11 @@ class InBuffer {
 
   /// Bytes not yet consumed.
   [[nodiscard]] std::size_t remaining() const { return bytes_.size() - pos_; }
+  /// The first unconsumed byte (remaining() bytes are readable from it), so
+  /// a decoder can check an untrusted record's extent before unpacking it.
+  [[nodiscard]] const std::byte* cursor() const {
+    return bytes_.data() + pos_;
+  }
   [[nodiscard]] bool done() const { return remaining() == 0; }
   [[nodiscard]] std::size_t size() const { return bytes_.size(); }
 

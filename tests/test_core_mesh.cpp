@@ -5,6 +5,7 @@
 
 #include "core/measure.hpp"
 #include "core/mesh.hpp"
+#include "core/tagio.hpp"
 #include "core/topo.hpp"
 #include "core/verify.hpp"
 
@@ -360,6 +361,29 @@ TEST(Measure, MeshBounds) {
   const auto box = core::bounds(m);
   EXPECT_EQ(box.lo, Vec3(-1, -2, 2));
   EXPECT_EQ(box.hi, Vec3(3, 0, 5));
+}
+
+TEST(TagIo, ExtentCoversExactlyOnePackedRecord) {
+  // tagsExtent is the guard a decoder of untrusted bytes runs before
+  // unpackTags: the whole record, nothing short, no unknown tag type.
+  Mesh m;
+  const Ent v = m.createVertex({0, 0, 0});
+  m.tags().setScalar<int>(m.tags().create<int>("id"), v, 7);
+  m.tags().setScalar<double>(m.tags().create<double>("w"), v, 2.5);
+  pcu::OutBuffer b;
+  core::packTags(m, v, b);
+  const std::size_t n = b.size();
+  b.pack<std::uint32_t>(99);  // bytes of the next record are not counted
+  EXPECT_EQ(core::tagsExtent(b.data(), b.size()), n);
+  for (std::size_t cut = 0; cut < n; ++cut)
+    EXPECT_FALSE(core::tagsExtent(b.data(), cut)) << "cut at " << cut;
+  // An unknown type code: it sits after the count, name length and name.
+  pcu::OutBuffer one;
+  core::packTags(m, v, one, "id");
+  auto bytes = one.storage();
+  ASSERT_EQ(core::tagsExtent(bytes.data(), bytes.size()), bytes.size());
+  bytes[sizeof(std::uint32_t) + sizeof(std::uint64_t) + 2] = std::byte{9};
+  EXPECT_FALSE(core::tagsExtent(bytes.data(), bytes.size()));
 }
 
 }  // namespace

@@ -391,6 +391,45 @@ TEST(Ghost, OversizedVertexCountInPayloadIsAValidationError) {
   }
 }
 
+TEST(Migrate, MalformedPackedRecordIsAValidationError) {
+  // Migration's packed per-peer bodies are untrusted: a body with a partial
+  // trailing record, or one naming a handle the receiver does not have,
+  // must be rejected naming the channel (rank = receiver, peer = sender)
+  // instead of asserting or inserting a dead entity. Under threaded
+  // delivery the error reaches the caller from its worker, and a
+  // transactional migration rolls the mesh back exactly.
+  pcu::OutBuffer trailing;  // one whole 8-byte record plus 4 stray bytes
+  trailing.pack<std::uint64_t>(0);
+  trailing.pack<std::uint32_t>(0);
+  pcu::OutBuffer dead;  // a vertex handle far past any live slot
+  dead.pack<std::uint64_t>(core::Ent(core::Topo::Vertex, 1u << 30).packed());
+  for (const pcu::OutBuffer* rogue : {&trailing, &dead})
+    for (int threads : {0, 4}) {
+      auto gen = meshgen::boxTets(3, 3, 3);
+      auto pm = dist::PartedMesh::distribute(
+          *gen.mesh, gen.model.get(), stripeByX(*gen.mesh, 3), flatMap(3));
+      pm->network().setDeliveryThreads(threads);
+      pm->setTransactional(true);
+      dist::MigrationPlan plan(3);
+      for (Ent e : pm->part(0).elements()) plan[0][e] = 1;
+      const std::uint64_t before = pm->fingerprint();
+      pm->network().send(0, 1, pcu::OutBuffer(*rogue));
+      try {
+        pm->migrate(plan);
+        ADD_FAILURE() << "rogue body accepted, threads " << threads;
+      } catch (const pcu::Error& e) {
+        EXPECT_EQ(e.code(), pcu::ErrorCode::kValidation) << e.what();
+        EXPECT_EQ(e.rank(), 1) << e.what();
+        EXPECT_EQ(e.peer(), 0) << e.what();
+      }
+      EXPECT_EQ(pm->fingerprint(), before) << "threads " << threads;
+      // The rolled-back mesh still migrates cleanly.
+      pm->migrate(plan);
+      pm->verify();
+      EXPECT_EQ(pm->part(0).elementCount(), 0u);
+    }
+}
+
 TEST(Ghost, TwoLayersStrictlyLarger) {
   auto gen = meshgen::boxTets(6, 2, 2);
   auto pm = dist::PartedMesh::distribute(*gen.mesh, gen.model.get(),
