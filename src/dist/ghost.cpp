@@ -8,11 +8,13 @@
 /// layer k+1 adds elements adjacent to layer-k vertices. The sending part
 /// computes all requested layers locally, then ships each neighbour one
 /// self-contained closure payload; receivers deduplicate shared closure
-/// entities by their canonical (owner part, owner handle) key.
+/// entities by their canonical (owner part, owner handle) key. A closure
+/// element names a vertex the neighbour already holds by the neighbour's
+/// handle, read off the sender's copy links, and any other vertex by its
+/// owner key, which then names a ghost created by this operation.
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <stdexcept>
 #include <string>
 
@@ -20,26 +22,9 @@
 #include "dist/keymaps_impl.hpp"
 #include "dist/partedmesh.hpp"
 #include "dist/tagio.hpp"
-#include "gmi/model.hpp"
 #include "pcu/trace.hpp"
 
 namespace dist {
-
-namespace {
-
-void packKey(pcu::OutBuffer& b, const GKey& k) {
-  b.pack<std::int32_t>(k.part);
-  b.pack<std::uint64_t>(k.ent.packed());
-}
-
-GKey unpackKey(pcu::InBuffer& b) {
-  GKey k;
-  k.part = b.unpack<std::int32_t>();
-  k.ent = core::Ent::unpack(b.unpack<std::uint64_t>());
-  return k;
-}
-
-}  // namespace
 
 void PartedMesh::ghostLayers(int layers) {
   if (layers < 1) throw std::invalid_argument("ghostLayers: layers >= 1");
@@ -53,8 +38,8 @@ void PartedMesh::ghostLayers(int layers) {
 void PartedMesh::ghostLayersBody(int layers) {
   const int dim = dim_;
   pcu::trace::Scope trace_scope("dist:ghostLayers");
-  KeyMaps keys;
-  buildKeyMaps(keys);
+  const std::size_t nparts = parts_.size();
+  KeyMaps keys(nparts);
   std::array<Ent, core::kMaxDown> buf{};
 
   // Post one closure payload per (part, neighbour) pair.
@@ -117,87 +102,46 @@ void PartedMesh::ghostLayersBody(int layers) {
       for (const auto& level : closure)
         total += static_cast<std::uint32_t>(level.size());
       b.pack(total);
-      for (int d = 0; d <= dim; ++d) {
-        for (Ent e : closure[static_cast<std::size_t>(d)]) {
-          packKey(b, keyOf(p, e));
-          b.pack<std::uint8_t>(static_cast<std::uint8_t>(e.topo()));
-          gmi::Entity* cls = p.mesh().classification(e);
-          b.pack<std::int32_t>(cls ? cls->dim() : -1);
-          b.pack<std::int32_t>(cls ? cls->tag() : -1);
-          if (e.topo() == core::Topo::Vertex) {
-            b.pack(p.mesh().point(e));
-          } else {
-            const int nv = p.mesh().downward(e, 0, buf.data());
-            b.pack<std::uint32_t>(static_cast<std::uint32_t>(nv));
-            for (int k = 0; k < nv; ++k)
-              packKey(b, keyOf(p, buf[static_cast<std::size_t>(k)]));
-          }
-          packTags(p.mesh(), e, b);
-        }
-      }
+      for (const auto& level : closure)
+        for (Ent e : level) packCreation(b, p, e, q);
       net_.send(p.id(), q, std::move(b));
     }
   }
 
-  // Receivers create ghosts (deduplicating by key) and notify owners.
+  // Receivers create ghosts (deduplicating by key) and notify owners. Each
+  // closure record is checked whole before its ghost is created.
   net_.deliverAll([&](PartId to, PartId from, pcu::InBuffer body) {
     Part& p = *parts_[static_cast<std::size_t>(to)];
-    auto& by_key = keys.by_key[static_cast<std::size_t>(to)];
-    std::array<Ent, 8> lv{};
-    const auto total = body.unpack<std::uint32_t>();
+    Records in(to, from, nparts, "ghostLayers closure", body);
+    KeyMap& by_key = keys[static_cast<std::size_t>(to)];
+    const auto total = in.take<std::uint32_t>();
     for (std::uint32_t i = 0; i < total; ++i) {
-      const GKey key = unpackKey(body);
-      const auto topo = static_cast<core::Topo>(body.unpack<std::uint8_t>());
-      const auto cls_dim = body.unpack<std::int32_t>();
-      const auto cls_tag = body.unpack<std::int32_t>();
-      gmi::Entity* cls =
-          cls_dim >= 0 ? model_->find(cls_dim, cls_tag) : nullptr;
-      // Consume the geometric payload regardless of deduplication.
-      common::Vec3 x;
-      std::uint32_t nv = 0;
-      std::array<GKey, 8> vkeys{};
-      if (topo == core::Topo::Vertex) {
-        x = body.unpack<common::Vec3>();
-      } else {
-        nv = body.unpack<std::uint32_t>();
-        if (nv > vkeys.size())
-          throw pcu::Error(pcu::ErrorCode::kValidation, static_cast<int>(to),
-                           static_cast<int>(from), kNetChannelTag,
-                           "ghost payload from part " + std::to_string(from) +
-                               " to part " + std::to_string(to) + " names " +
-                               std::to_string(nv) + " vertices, at most " +
-                               std::to_string(vkeys.size()) + " allowed");
-        for (std::uint32_t k = 0; k < nv; ++k) vkeys[k] = unpackKey(body);
-      }
-      const bool duplicate = key.part == to || by_key.count(key) > 0;
-      if (duplicate) {
-        skipTags(body);
+      const Creation c = in.creation(0, dim, model_);
+      if (c.key.part == to || by_key.count(c.key) > 0) {
+        in.skipTags();  // a duplicate of a real entity or an earlier ghost
         continue;
       }
-      Ent local;
-      if (topo == core::Topo::Vertex) {
-        local = p.mesh().createVertex(x, cls);
-      } else {
-        for (std::uint32_t k = 0; k < nv; ++k)
-          lv[k] = keys.resolve(to, vkeys[k]);
-        local = p.mesh().buildElement(topo, {lv.data(), nv}, cls);
-      }
-      unpackTags(p.mesh(), local, body);
-      by_key.emplace(key, local);
-      p.ghost_source_.emplace(local, Copy{key.part, key.ent});
+      const Ent local = in.build(p.mesh(), by_key, c);
+      by_key.emplace(c.key, local);
+      p.ghost_source_.emplace(local, Copy{c.key.part, c.key.ent});
       pcu::OutBuffer reply;
-      reply.pack<std::uint64_t>(key.ent.packed());
+      reply.pack<std::uint64_t>(c.key.ent.packed());
       reply.pack<std::uint64_t>(local.packed());
-      net_.send(to, key.part, std::move(reply));
+      net_.send(to, c.key.part, std::move(reply));
     }
+    if (in.more()) in.reject("bytes after the last closure record");
   });
 
   // Owners record where their entities are ghosted (for tag sync).
   net_.deliverAll([&](PartId to, PartId from, pcu::InBuffer body) {
     Part& p = *parts_[static_cast<std::size_t>(to)];
-    const Ent real = Ent::unpack(body.unpack<std::uint64_t>());
-    const Ent ghost = Ent::unpack(body.unpack<std::uint64_t>());
-    p.ghosted_on_[real].push_back(Copy{from, ghost});
+    Records in(to, from, nparts, "ghostLayers reply", body);
+    in.requireWhole(2 * sizeof(std::uint64_t));
+    while (in.more()) {
+      const Ent real = in.live(p.mesh());
+      p.ghosted_on_[real].push_back(
+          Copy{from, Ent::unpack(in.take<std::uint64_t>())});
+    }
   });
 }
 

@@ -6,13 +6,19 @@
 /// bulk-synchronous message phases over dist::Network:
 ///
 ///   A. Every part computes, for each participating entity (shared, or in
-///      the closure of a moving element), the destinations of its adjacent
-///      elements, and reports them to the entity's owner. The union at the
-///      owner is the entity's *new residence* (paper II-B).
+///      the closure of a moving element), the parts its adjacent elements
+///      will be on, and reports them to the entity's owner. The union at
+///      the owner is the entity's *new residence* (paper II-B). The walk
+///      costs what moves: each moving element adds its destination to its
+///      closure, and the part itself is added when an early-exit upward
+///      walk finds one adjacent element that stays.
 ///   B. (per dimension, ascending) Owners send creation payloads — topology
 ///      by vertex keys, coordinates, classification, tags — to residence
 ///      parts lacking a copy; receivers create entities and reply with the
-///      new local handles.
+///      new local handles. A vertex key is a handle on the receiver when a
+///      copy exists there (read off the sender's copy links), else the
+///      owner key of an entity created earlier in this operation; no
+///      part-wide key map is built.
 ///   C. Owners broadcast the final copy lists and the new owning part to
 ///      every residence part; parts dropped from the residence receive a
 ///      release message instead.
@@ -41,19 +47,12 @@
 #include "common/flatmap.hpp"
 #include "dist/keymaps_impl.hpp"
 #include "dist/partedmesh.hpp"
-#include "dist/tagio.hpp"
-#include "gmi/model.hpp"
 #include "pcu/error.hpp"
 #include "pcu/trace.hpp"
 
 namespace dist {
 
 namespace {
-
-void packKey(pcu::OutBuffer& b, const GKey& k) {
-  b.pack<std::int32_t>(k.part);
-  b.pack<std::uint64_t>(k.ent.packed());
-}
 
 /// One packed body per destination part for the sender whose loop is
 /// running. post() sends every non-empty body and leaves all of them empty
@@ -75,78 +74,19 @@ class PeerBodies {
   std::vector<pcu::OutBuffer> bodies_;
 };
 
-/// Bounds-checked decoder of one packed body received by part `to` from
-/// part `from`. Every read checks the bytes left, so a malformed body is a
-/// pcu::Error(kValidation) naming the channel, never an InBuffer assert.
-class Records {
- public:
-  Records(PartId to, PartId from, std::size_t nparts, const char* phase,
-          pcu::InBuffer& body)
-      : to_(to), from_(from), nparts_(nparts), phase_(phase), body_(body) {}
-
-  /// Reject the body up front unless it holds whole `size`-byte records.
-  void requireWhole(std::size_t size) const {
-    if (body_.remaining() % size != 0)
-      reject(std::to_string(body_.remaining() % size) +
-             " trailing bytes after the last " + std::to_string(size) +
-             "-byte record");
-  }
-  [[nodiscard]] bool more() const { return !body_.done(); }
-
-  template <typename T>
-  T take() {
-    if (body_.remaining() < sizeof(T)) reject("short record");
-    return body_.unpack<T>();
-  }
-  /// A handle that must name a live entity of `mesh`.
-  Ent live(const core::Mesh& mesh) {
-    const auto bits = take<std::uint64_t>();
-    const Ent e = Ent::unpack(bits);
-    if ((bits >> 32) >= static_cast<std::uint64_t>(core::kTopoCount) ||
-        !mesh.alive(e))
-      reject("entity handle " + std::to_string(bits) +
-             " is not alive on the receiver");
-    return e;
-  }
-  PartId part() {
-    const auto q = take<std::int32_t>();
-    if (q < 0 || static_cast<std::size_t>(q) >= nparts_)
-      reject("part " + std::to_string(q) + " out of range");
-    return q;
-  }
-  /// A count of at most `limit` items of `item_bytes` each, all present.
-  std::size_t count(std::uint64_t n, std::uint64_t limit,
-                    std::size_t item_bytes) const {
-    if (n > limit || n * item_bytes > body_.remaining())
-      reject("record announces " + std::to_string(n) + " items (limit " +
-             std::to_string(limit) + ", " +
-             std::to_string(body_.remaining()) + " bytes left)");
-    return static_cast<std::size_t>(n);
-  }
-  /// Check that a packTags section follows, then apply it to `e`.
-  void checkTags() const {
-    if (!core::tagsExtent(body_.cursor(), body_.remaining()))
-      reject("truncated or malformed tag section");
-  }
-  void tags(core::Mesh& mesh, Ent e) { unpackTags(mesh, e, body_); }
-
-  [[noreturn]] void reject(const std::string& what) const {
-    throw pcu::Error(pcu::ErrorCode::kValidation, static_cast<int>(to_),
-                     static_cast<int>(from_), kNetChannelTag,
-                     std::string("migrate ") + phase_ + ": " + what +
-                         " (from part " + std::to_string(from_) +
-                         " to part " + std::to_string(to_) + ")");
-  }
-
- private:
-  PartId to_, from_;
-  std::size_t nparts_;
-  const char* phase_;
-  pcu::InBuffer& body_;
-};
-
 void addUnique(std::vector<PartId>& v, PartId p) {
   if (std::find(v.begin(), v.end(), p) == v.end()) v.push_back(p);
+}
+
+/// True when some element (dimension `dim`) above `e` satisfies `pick`.
+/// Walks the one-level up lists depth first and stops at the first hit.
+template <typename Pick>
+bool anyElementAbove(const core::Mesh& mesh, Ent e, int dim, const Pick& pick) {
+  for (Ent u : mesh.up(e))
+    if (core::topoDim(u.topo()) == dim ? pick(u)
+                                       : anyElementAbove(mesh, u, dim, pick))
+      return true;
+  return false;
 }
 
 /// Owner-side bookkeeping for one participating entity.
@@ -156,22 +96,6 @@ struct Record {
 };
 
 }  // namespace
-
-void PartedMesh::buildKeyMaps(KeyMaps& maps) const {
-  maps.by_key.assign(parts_.size(), {});
-  for (const auto& pp : parts_) {
-    auto& map = maps.by_key[static_cast<std::size_t>(pp->id())];
-    // Count first so the rebuild is a single allocation, not a rehash chain.
-    std::size_t n = 0;
-    for (const auto& [e, r] : pp->remotes_)
-      if (r.owner != pp->id()) ++n;
-    map.reserve(n);
-    for (const auto& [e, r] : pp->remotes_) {
-      if (r.owner == pp->id()) continue;
-      map.emplace(keyOf(*pp, e), e);
-    }
-  }
-}
 
 void PartedMesh::migrate(const MigrationPlan& plan) {
   const int dim = dim_;
@@ -215,8 +139,7 @@ void PartedMesh::migrateBody(const MigrationPlan& plan) {
   const int dim = dim_;
   pcu::trace::Scope trace_scope("dist:migrate");
   const std::size_t nparts = parts_.size();
-  KeyMaps keys;
-  buildKeyMaps(keys);
+  KeyMaps keys(nparts);
 
   // Element loads before migration (for the LeastLoaded owner rule).
   std::vector<std::size_t> load(nparts, 0);
@@ -252,9 +175,9 @@ void PartedMesh::migrateBody(const MigrationPlan& plan) {
   std::vector<common::FlatSet<Ent, EntHash>> participating(nparts);
 
   PeerBodies out(nparts);
+  std::array<Ent, core::kMaxDown> buf{};
   for (std::size_t pi = 0; pi < nparts; ++pi) {
     Part& p = *parts_[pi];
-    std::array<Ent, core::kMaxDown> buf{};
     for (const auto& [elem, dest] : plan[pi]) {
       if (dest == p.id()) continue;  // contents validated by migrate()
       moving[pi].emplace_back(elem, dest);
@@ -273,16 +196,16 @@ void PartedMesh::migrateBody(const MigrationPlan& plan) {
     out.post(net_, p.id());
   }
   // Records: one live local handle each.
-  auto joinParticipants = [&](const char* phase) {
+  auto joinParticipants = [&](const char* what) {
     net_.deliverAll([&](PartId to, PartId from, pcu::InBuffer body) {
-      Records in(to, from, nparts, phase, body);
+      Records in(to, from, nparts, what, body);
       in.requireWhole(sizeof(std::uint64_t));
       const core::Mesh& mesh = parts_[static_cast<std::size_t>(to)]->mesh();
       auto& joined = participating[static_cast<std::size_t>(to)];
       while (in.more()) joined.insert(in.live(mesh));
     });
   };
-  joinParticipants("A0 notify");
+  joinParticipants("migrate A0 notify");
   // Owners pull every copy of a touched shared entity into the protocol.
   for (std::size_t pi = 0; pi < nparts; ++pi) {
     Part& p = *parts_[pi];
@@ -294,22 +217,29 @@ void PartedMesh::migrateBody(const MigrationPlan& plan) {
     }
     out.post(net_, p.id());
   }
-  joinParticipants("A0 pull");
+  joinParticipants("migrate A0 pull");
   pcu::trace::end("migrate:A0-participants");
 
   // --- Phase A: local residence contributions -> owners -------------------
   pcu::trace::begin("migrate:A-residence");
-  core::AdjVec adj;
   for (std::size_t pi = 0; pi < nparts; ++pi) {
     Part& p = *parts_[pi];
+    const core::Mesh& mesh = p.mesh();
     common::FlatMap<Ent, std::vector<PartId>, EntHash> local_res;
     local_res.reserve(participating[pi].size());
     for (Ent e : participating[pi]) local_res.emplace(e, std::vector<PartId>{});
-    // Destinations of adjacent elements.
+    // The closure of a moving element resides at its destination.
+    for (const auto& [elem, dest] : moving[pi])
+      for (int d = 0; d < dim; ++d) {
+        const int n = mesh.downward(elem, d, buf.data());
+        for (int k = 0; k < n; ++k)
+          addUnique(local_res.find(buf[static_cast<std::size_t>(k)])->second,
+                    dest);
+      }
+    // An entity stays here while any adjacent element does.
+    const auto stays = [&](Ent elem) { return destOf(p.id(), elem) == p.id(); };
     for (auto& [e, res] : local_res) {
-      const int na = p.mesh().adjacentInto(e, dim, adj);
-      for (int k = 0; k < na; ++k)
-        addUnique(res, destOf(p.id(), adj[static_cast<std::size_t>(k)]));
+      if (anyElementAbove(mesh, e, dim, stays)) addUnique(res, p.id());
       assert(!res.empty() && "entity with no adjacent element");
       const GKey key = keyOf(p, e);
       if (key.part == p.id()) {
@@ -325,7 +255,7 @@ void PartedMesh::migrateBody(const MigrationPlan& plan) {
   }
   // Records: (owner handle, destination parts).
   net_.deliverAll([&](PartId to, PartId from, pcu::InBuffer body) {
-    Records in(to, from, nparts, "A residence", body);
+    Records in(to, from, nparts, "migrate A residence", body);
     const core::Mesh& mesh = parts_[static_cast<std::size_t>(to)]->mesh();
     std::vector<PartId> res;
     while (in.more()) {
@@ -343,80 +273,17 @@ void PartedMesh::migrateBody(const MigrationPlan& plan) {
 
   // --- Phase B: creation payloads per dimension ----------------------------
   pcu::trace::begin("migrate:B-create");
-  std::array<Ent, core::kMaxDown> vbuf{};
-  auto packCreation = [&](Part& p, Ent e, pcu::OutBuffer& b) {
-    packKey(b, keyOf(p, e));
-    b.pack<std::uint8_t>(static_cast<std::uint8_t>(e.topo()));
-    gmi::Entity* cls = p.mesh().classification(e);
-    b.pack<std::int32_t>(cls ? cls->dim() : -1);
-    b.pack<std::int32_t>(cls ? cls->tag() : -1);
-    if (e.topo() == core::Topo::Vertex) {
-      b.pack(p.mesh().point(e));
-    } else {
-      const int nv = p.mesh().downward(e, 0, vbuf.data());
-      b.pack<std::uint32_t>(static_cast<std::uint32_t>(nv));
-      for (int k = 0; k < nv; ++k)
-        packKey(b, keyOf(p, vbuf[static_cast<std::size_t>(k)]));
-    }
-    packTags(p.mesh(), e, b);
-  };
-  // Creation record: owner key, topology, classification, then the
-  // coordinates or vertex keys, then the tags. The whole record is checked
-  // before the entity is created.
+  // A creation record is checked whole before the entity is created; the
+  // receiver keys it for the vertex keys of later records.
   auto createFromPayload = [&](PartId to, PartId from, int d, Records& in) {
-    Part& p = *parts_[static_cast<std::size_t>(to)];
-    const auto& by_key = keys.by_key[static_cast<std::size_t>(to)];
-    const auto readKey = [&] {
-      GKey k;
-      k.part = in.part();
-      k.ent = Ent::unpack(in.take<std::uint64_t>());
-      return k;
-    };
-    const GKey key = readKey();
-    if (key.part != from)
-      in.reject("creation key names owner part " + std::to_string(key.part));
-    const auto topo_bits = in.take<std::uint8_t>();
-    const auto topo = static_cast<core::Topo>(topo_bits);
-    if (topo_bits >= core::kTopoCount || core::topoDim(topo) != d)
-      in.reject("topology " + std::to_string(topo_bits) +
-                " in the dimension " + std::to_string(d) + " phase");
-    const auto cls_dim = in.take<std::int32_t>();
-    const auto cls_tag = in.take<std::int32_t>();
-    gmi::Entity* cls =
-        cls_dim >= 0 ? model_->find(cls_dim, cls_tag) : nullptr;
-    common::Vec3 x{};
-    std::array<Ent, 8> lv{};
-    std::uint32_t nv = 0;
-    if (topo == core::Topo::Vertex) {
-      x = in.take<common::Vec3>();
-    } else {
-      nv = in.take<std::uint32_t>();
-      if (nv > lv.size() ||
-          static_cast<int>(nv) != core::topoVertexCount(topo))
-        in.reject(std::to_string(nv) + " vertices for a " +
-                  core::topoName(topo));
-      for (std::uint32_t k = 0; k < nv; ++k) {
-        const GKey vk = readKey();
-        if (vk.part == to) {
-          if (vk.ent.topo() != core::Topo::Vertex || !p.mesh().alive(vk.ent))
-            in.reject("vertex key names no live local vertex");
-          lv[k] = vk.ent;
-        } else {
-          const auto it = by_key.find(vk);
-          if (it == by_key.end())
-            in.reject("vertex key of part " + std::to_string(vk.part) +
-                      " unknown to the receiver");
-          lv[k] = it->second;
-        }
-      }
-    }
-    in.checkTags();
-    const Ent local = topo == core::Topo::Vertex
-                          ? p.mesh().createVertex(x, cls)
-                          : p.mesh().buildElement(topo, {lv.data(), nv}, cls);
-    in.tags(p.mesh(), local);
-    keys.by_key[static_cast<std::size_t>(to)][key] = local;
-    return std::pair{key, local};
+    const Creation c = in.creation(d, d, model_);
+    if (c.key.part != from)
+      in.reject("creation key names owner part " + std::to_string(c.key.part));
+    KeyMap& created = keys[static_cast<std::size_t>(to)];
+    const Ent local =
+        in.build(parts_[static_cast<std::size_t>(to)]->mesh(), created, c);
+    created[c.key] = local;
+    return std::pair{c.key, local};
   };
 
   for (int d = 0; d <= dim; ++d) {
@@ -429,18 +296,18 @@ void PartedMesh::migrateBody(const MigrationPlan& plan) {
           const auto current = p.residence(e);
           for (PartId t : rec.new_res)
             if (std::find(current.begin(), current.end(), t) == current.end())
-              packCreation(p, e, out[t]);
+              packCreation(out[t], p, e, t);
         }
       } else {
         for (const auto& [elem, dest] : moving[pi])
-          packCreation(p, elem, out[dest]);
+          packCreation(out[dest], p, elem, dest);
       }
       out.post(net_, p.id());
     }
     // Deliver creations; receivers reply to the owner with their new
     // handles, one (owner handle, new handle) record per creation.
     net_.deliverAll([&](PartId to, PartId from, pcu::InBuffer body) {
-      Records in(to, from, nparts, "B create", body);
+      Records in(to, from, nparts, "migrate B create", body);
       pcu::OutBuffer reply;
       while (in.more()) {
         const auto [key, local] = createFromPayload(to, from, d, in);
@@ -453,7 +320,7 @@ void PartedMesh::migrateBody(const MigrationPlan& plan) {
     });
     // Deliver handle replies to owners.
     net_.deliverAll([&](PartId to, PartId from, pcu::InBuffer body) {
-      Records in(to, from, nparts, "B reply", body);
+      Records in(to, from, nparts, "migrate B reply", body);
       in.requireWhole(2 * sizeof(std::uint64_t));
       auto& owned = records[static_cast<std::size_t>(to)];
       while (in.more()) {
@@ -515,7 +382,7 @@ void PartedMesh::migrateBody(const MigrationPlan& plan) {
   // Records: a release (kind 0, local handle) or a finalize (kind 1, local
   // handle, owner, copy list).
   net_.deliverAll([&](PartId to, PartId from, pcu::InBuffer body) {
-    Records in(to, from, nparts, "C finalize", body);
+    Records in(to, from, nparts, "migrate C finalize", body);
     Part& p = *parts_[static_cast<std::size_t>(to)];
     while (in.more()) {
       const auto kind = in.take<std::uint8_t>();

@@ -125,6 +125,41 @@ GKey PartedMesh::keyOf(const Part& p, Ent e) const {
   throw std::logic_error("keyOf: owner copy not found in remote list");
 }
 
+void PartedMesh::packCreation(pcu::OutBuffer& b, const Part& p, Ent e,
+                              PartId t) const {
+  // Owner key, topology, classification, then the coordinates or vertex
+  // keys, then the tags.
+  const auto packKey = [&b](const GKey& k) {
+    b.pack<std::int32_t>(k.part);
+    b.pack<std::uint64_t>(k.ent.packed());
+  };
+  packKey(keyOf(p, e));
+  b.pack<std::uint8_t>(static_cast<std::uint8_t>(e.topo()));
+  gmi::Entity* cls = p.mesh().classification(e);
+  b.pack<std::int32_t>(cls ? cls->dim() : -1);
+  b.pack<std::int32_t>(cls ? cls->tag() : -1);
+  if (e.topo() == core::Topo::Vertex) {
+    b.pack(p.mesh().point(e));
+  } else {
+    // A vertex `t` already holds is named by its handle there, read off the
+    // copy links (copy lists are complete). Any other is created on `t`
+    // earlier in the same operation and is named by its owner key.
+    const auto vertexKey = [&](Ent v) {
+      const Remote* r = p.remote(v);
+      if (r == nullptr) return GKey{p.id(), v};
+      for (const Copy& c : r->copies)
+        if (c.part == t) return GKey{t, c.ent};
+      return keyOf(p, v);
+    };
+    std::array<Ent, core::kMaxDown> verts{};
+    const int nv = p.mesh().downward(e, 0, verts.data());
+    b.pack<std::uint32_t>(static_cast<std::uint32_t>(nv));
+    for (int k = 0; k < nv; ++k)
+      packKey(vertexKey(verts[static_cast<std::size_t>(k)]));
+  }
+  packTags(p.mesh(), e, b);
+}
+
 /// --- distribute --------------------------------------------------------------
 
 std::unique_ptr<PartedMesh> PartedMesh::distribute(

@@ -260,9 +260,10 @@ class PartedMesh {
 
  private:
   friend struct CheckpointAccess;  ///< checkpoint.cpp restores dim_
-  struct KeyMaps;
-  void buildKeyMaps(KeyMaps& maps) const;
   [[nodiscard]] GKey keyOf(const Part& p, Ent e) const;
+  /// Append the creation record of part `p`'s entity `e` for part `t` (the
+  /// migration and ghosting wire format, read by Records::creation).
+  void packCreation(pcu::OutBuffer& b, const Part& p, Ent e, PartId t) const;
   /// Run `body` under the transactional protocol described at
   /// setTransactional(); plain pass-through when inactive.
   void runTransactional(const char* opname, const std::function<void()>& body);

@@ -18,8 +18,8 @@ using PartId = std::int32_t;
 
 /// A globally unique name for a mesh entity during one distributed
 /// operation: the handle of its copy on its owning part. Keys are only
-/// stable between ownership changes, so distributed operations rebuild
-/// their key maps on entry.
+/// stable between ownership changes, so an operation resolves them only
+/// for the entities it creates itself.
 struct GKey {
   PartId part = -1;
   core::Ent ent;

@@ -572,7 +572,7 @@ TEST(Armor, OperationEntryAuditRepairsAFlipFromThePreviousBoundary) {
 
 struct MatrixCase {
   std::uint64_t seed;
-  bool three_d;
+  std::uint64_t three_d;  // 0: triangles, 1: tetrahedra (no padding bytes)
 };
 
 class MemflipMatrix : public ::testing::TestWithParam<MatrixCase> {};
@@ -640,7 +640,7 @@ INSTANTIATE_TEST_SUITE_P(
     Campaign, MemflipMatrix, ::testing::ValuesIn([] {
       std::vector<MatrixCase> cases;
       for (std::uint64_t s = 1; s <= 20; ++s)
-        for (bool three_d : {false, true}) cases.push_back({s, three_d});
+        for (std::uint64_t three_d : {0, 1}) cases.push_back({s, three_d});
       return cases;
     }()),
     [](const ::testing::TestParamInfo<MatrixCase>& info) {

@@ -61,7 +61,7 @@ void checkSharedInvariants(dist::PartedMesh& pm) {
 }
 
 struct PropertyCase {
-  bool three_d;
+  std::uint64_t three_d;  // 0: triangles, 1: tetrahedra (no padding bytes)
   std::uint64_t seed;
 };
 
@@ -114,8 +114,8 @@ TEST_P(MigrateProperty, RandomRoundsPreserveAllInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, MigrateProperty,
-    ::testing::Values(PropertyCase{true, 11}, PropertyCase{true, 5150},
-                      PropertyCase{false, 23}, PropertyCase{false, 77}),
+    ::testing::Values(PropertyCase{1, 11}, PropertyCase{1, 5150},
+                      PropertyCase{0, 23}, PropertyCase{0, 77}),
     [](const ::testing::TestParamInfo<PropertyCase>& info) {
       return std::string(info.param.three_d ? "tets" : "tris") + "_seed" +
              std::to_string(info.param.seed);

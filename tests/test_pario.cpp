@@ -185,7 +185,7 @@ TEST(IoFaultPlan, PathHashCoversBasenameOnly) {
 
 struct ChaosCase {
   std::uint64_t seed;
-  bool three_d;
+  std::uint64_t three_d;  // 0: triangles, 1: tetrahedra (no padding bytes)
 };
 
 class IoChaosMatrix : public ::testing::TestWithParam<ChaosCase> {};
@@ -308,8 +308,8 @@ TEST_P(IoChaosMatrix, BothCopiesGoneDegradesToPartialRestore) {
 std::vector<ChaosCase> chaosCases() {
   std::vector<ChaosCase> cases;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    cases.push_back({seed, false});
-    cases.push_back({seed, true});
+    cases.push_back({seed, 0});
+    cases.push_back({seed, 1});
   }
   return cases;
 }

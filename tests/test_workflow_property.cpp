@@ -36,7 +36,7 @@ double globalMeasure(dist::PartedMesh& pm) {
 }
 
 struct FuzzCase {
-  int dim;  // 2 or 3
+  std::int64_t dim;  // 2 or 3 (64-bit: no padding bytes before seed)
   std::uint64_t seed;
 };
 
