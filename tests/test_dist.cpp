@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <numeric>
 #include <string>
@@ -787,5 +788,222 @@ TEST(OwnerRule, LeastLoadedPicksLighterPart) {
   ASSERT_GT(shared_total, 0u);
   EXPECT_GT(owned_by_1, shared_total / 2);
 }
+
+/// --- verify() negative oracle ---------------------------------------------
+///
+/// One case per invariant the public mutators can break. Each case corrupts
+/// a freshly distributed, verified mesh and lists every invariant that its
+/// corruption necessarily breaks; verify() must throw std::logic_error
+/// naming one of them. The first name listed is the one verify() reported
+/// when the table was written. The mesh is a quadrant split of a 4x4x2 tet
+/// box, so the vertices on the line x = y = 0.5 reside on all four parts.
+
+/// The first live entity of dimension d on `p` with exactly `n` copies.
+Ent sharedWith(const dist::Part& p, int d, std::size_t n) {
+  for (Ent e : p.mesh().entities(d))
+    if (const dist::Remote* r = p.remote(e); r && r->copies.size() == n)
+      return e;
+  ADD_FAILURE() << "no entity with " << n << " copies on part " << p.id();
+  return Ent{};
+}
+
+/// Rewrite the remote record of `e` on `p` through the public mutator.
+template <class F>
+void editRemote(dist::Part& p, Ent e, F&& f) {
+  dist::Remote r = *p.remote(e);
+  f(r);
+  p.setRemote(e, std::move(r));
+}
+
+/// The first live vertex of part 0 with exactly one copy, and that copy.
+std::pair<Ent, dist::Copy> sharedVertex(dist::PartedMesh& pm) {
+  const Ent e = sharedWith(pm.part(0), 0, 1);
+  return {e, pm.part(0).remote(e)->copies.front()};
+}
+
+/// Point part 0's first singly shared vertex at `ent` on its copy's part.
+void retargetCopy(dist::PartedMesh& pm, Ent ent) {
+  const Ent e = sharedVertex(pm).first;
+  editRemote(pm.part(0), e, [&](dist::Remote& r) { r.copies[0].ent = ent; });
+}
+
+struct VerifyCase {
+  const char* name;
+  void (*corrupt)(dist::PartedMesh&);
+  std::vector<std::string> may_report;
+};
+
+void PrintTo(const VerifyCase& c, std::ostream* os) { *os << c.name; }
+
+class VerifyDetects : public ::testing::TestWithParam<VerifyCase> {};
+
+TEST_P(VerifyDetects, ThrowsNamingTheInvariant) {
+  const VerifyCase& c = GetParam();
+  auto gen = meshgen::boxTets(4, 4, 2);
+  auto pm = dist::PartedMesh::distribute(*gen.mesh, gen.model.get(),
+                                         quadrants(*gen.mesh), flatMap(4));
+  ASSERT_NO_THROW(pm->verify());
+  c.corrupt(*pm);
+  try {
+    pm->verify();
+    FAIL() << c.name << ": verify() passed a corrupted mesh";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    bool named = false;
+    for (const std::string& m : c.may_report)
+      named = named || what.find(m) != std::string::npos;
+    EXPECT_TRUE(named) << c.name << ": " << what;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Invariants, VerifyDetects,
+    ::testing::Values(
+        VerifyCase{"empty_copy_list",
+                   [](dist::PartedMesh& pm) {
+                     editRemote(pm.part(0), sharedVertex(pm).first,
+                                [](dist::Remote& r) { r.copies.clear(); });
+                   },
+                   {"shared entity with empty copy list",
+                    "copy symmetry broken"}},
+        VerifyCase{"unsorted_copy_list",
+                   [](dist::PartedMesh& pm) {
+                     auto& p = pm.part(0);
+                     editRemote(p, sharedWith(p, 0, 3), [](dist::Remote& r) {
+                       std::reverse(r.copies.begin(), r.copies.end());
+                     });
+                   },
+                   {"copy list not sorted/unique"}},
+        VerifyCase{"self_in_copy_list",
+                   [](dist::PartedMesh& pm) {
+                     const Ent e = sharedVertex(pm).first;
+                     editRemote(pm.part(0), e, [&](dist::Remote& r) {
+                       r.copies.insert(r.copies.begin(), dist::Copy{0, e});
+                     });
+                   },
+                   {"copy list contains self",
+                    "residence disagreement across copies"}},
+        VerifyCase{"dead_copy",
+                   [](dist::PartedMesh& pm) {
+                     auto& q = pm.part(sharedVertex(pm).second.part);
+                     const Ent dead = q.mesh().createVertex({9, 9, 9});
+                     q.mesh().destroy(dead);
+                     retargetCopy(pm, dead);
+                   },
+                   {"dead remote copy", "copy symmetry broken"}},
+        VerifyCase{"topology_mismatch",
+                   [](dist::PartedMesh& pm) {
+                     auto& q = pm.part(sharedVertex(pm).second.part);
+                     retargetCopy(pm, *q.mesh().entities(1).begin());
+                   },
+                   {"remote copy topology mismatch", "copy symmetry broken"}},
+        VerifyCase{"copy_not_shared",
+                   [](dist::PartedMesh& pm) {
+                     auto& q = pm.part(sharedVertex(pm).second.part);
+                     for (Ent v : q.mesh().entities(0)) {
+                       if (q.isShared(v)) continue;
+                       retargetCopy(pm, v);
+                       return;
+                     }
+                     ADD_FAILURE() << "no interior vertex on part " << q.id();
+                   },
+                   {"remote copy not shared", "copy symmetry broken"}},
+        VerifyCase{"owner_disagreement",
+                   [](dist::PartedMesh& pm) {
+                     const auto [e, c] = sharedVertex(pm);
+                     editRemote(pm.part(0), e,
+                                [&](dist::Remote& r) { r.owner = c.part; });
+                   },
+                   {"owner disagreement across copies"}},
+        VerifyCase{"owner_not_in_residence",
+                   [](dist::PartedMesh& pm) {
+                     const auto [e, c] = sharedVertex(pm);
+                     const PartId outside = c.part == 3 ? 2 : 3;
+                     editRemote(pm.part(0), e,
+                                [&](dist::Remote& r) { r.owner = outside; });
+                   },
+                   {"owner not in residence set",
+                    "owner disagreement across copies"}},
+        VerifyCase{"symmetry_broken",
+                   [](dist::PartedMesh& pm) {
+                     // Two vertices shared by parts 0 and q only; q's copy
+                     // of the first points back at the second.
+                     const auto& p = pm.part(0);
+                     const auto [e1, c1] = sharedVertex(pm);
+                     for (Ent e2 : p.mesh().entities(0)) {
+                       const dist::Remote* r = p.remote(e2);
+                       if (e2 == e1 || r == nullptr || r->copies.size() != 1 ||
+                           r->copies[0].part != c1.part)
+                         continue;
+                       editRemote(pm.part(c1.part), c1.ent,
+                                  [&](dist::Remote& rq) {
+                                    rq.copies[0].ent = e2;
+                                  });
+                       return;
+                     }
+                     ADD_FAILURE() << "no second vertex shared with part "
+                                   << c1.part;
+                   },
+                   {"copy symmetry broken", "vertex coordinate disagreement"}},
+        VerifyCase{"residence_disagreement",
+                   [](dist::PartedMesh& pm) {
+                     // A vertex on all four parts: one copy forgets another.
+                     const Ent e = sharedWith(pm.part(0), 0, 3);
+                     const auto copies = pm.part(0).remote(e)->copies;
+                     editRemote(pm.part(copies[0].part), copies[0].ent,
+                                [&](dist::Remote& r) {
+                                  std::erase_if(r.copies, [&](const dist::Copy& x) {
+                                    return x.part == copies[1].part;
+                                  });
+                                });
+                   },
+                   {"residence disagreement across copies",
+                    "copy symmetry broken"}},
+        VerifyCase{"coordinate_disagreement",
+                   [](dist::PartedMesh& pm) {
+                     const dist::Copy c = sharedVertex(pm).second;
+                     auto& q = pm.part(c.part).mesh();
+                     q.setPoint(c.ent, q.point(c.ent) + Vec3{1e-3, 0, 0});
+                   },
+                   {"vertex coordinate disagreement"}},
+        VerifyCase{"classification_disagreement",
+                   [](dist::PartedMesh& pm) {
+                     const dist::Copy c = sharedVertex(pm).second;
+                     auto& q = pm.part(c.part).mesh();
+                     ASSERT_NE(q.classification(c.ent), nullptr);
+                     q.classify(c.ent, nullptr);
+                   },
+                   {"classification disagreement"}},
+        VerifyCase{"shared_element",
+                   [](dist::PartedMesh& pm) {
+                     const Ent a = *pm.part(0).mesh().entities(3).begin();
+                     const Ent b = *pm.part(1).mesh().entities(3).begin();
+                     pm.part(0).setRemote(a, dist::Remote{{{1, b}}, 0});
+                     pm.part(1).setRemote(b, dist::Remote{{{0, a}}, 0});
+                   },
+                   {"element is shared"}},
+        VerifyCase{"orphan_vertex",
+                   [](dist::PartedMesh& pm) {
+                     pm.part(0).mesh().createVertex({2, 2, 2});
+                   },
+                   {"entity resides on part without adjacent element"}},
+        VerifyCase{"orphan_after_destroy",
+                   [](dist::PartedMesh& pm) {
+                     // Destroying an element with a shared face leaves that
+                     // face on part 0 with no adjacent element there.
+                     auto& p = pm.part(0);
+                     for (Ent el : p.mesh().entities(3)) {
+                       std::array<Ent, core::kMaxDown> faces;
+                       const int n = p.mesh().downward(el, 2, faces.data());
+                       for (int i = 0; i < n; ++i) {
+                         if (!p.isShared(faces[i])) continue;
+                         p.mesh().destroy(el);
+                         return;
+                       }
+                     }
+                     ADD_FAILURE() << "no element with a shared face";
+                   },
+                   {"entity resides on part without adjacent element"}}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace
