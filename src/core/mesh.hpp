@@ -113,6 +113,9 @@ class Mesh {
   [[nodiscard]] std::size_t countTopo(Topo t) const;
   /// Highest dimension with live entities (-1 for an empty mesh).
   [[nodiscard]] int dim() const;
+  /// Pool slots of type t, live and dead: every handle of type t indexes
+  /// below this, so an array of this size is a per-slot table.
+  [[nodiscard]] std::uint32_t slots(Topo t) const { return pool(t).slots(); }
 
   [[nodiscard]] Vec3 point(Ent v) const;
   void setPoint(Ent v, const Vec3& x);

@@ -143,46 +143,9 @@ EvacuationReport evacuate(PartedMesh& pm, const BuddyJournal& journal,
                       std::move(metas[static_cast<std::size_t>(p)]), entOf,
                       "evacuate: part " + std::to_string(p) + " replica");
 
-  // 3. Patch the survivors' mirror records through copy symmetry: their
-  //    stored handles into each dead part died with the old mesh, but the
-  //    dead part's rebuilt records name the same links from the other end
-  //    (with valid handles on both sides).
-  const std::set<PartId> evac(rep.parts_evacuated.begin(),
-                              rep.parts_evacuated.end());
-  for (PartId p : rep.parts_evacuated) {
-    const Part& dp = pm.part(p);
-    for (const auto& [e, r] : dp.remotes()) {
-      for (const Copy& c : r.copies) {
-        if (evac.count(c.part) > 0) continue;  // both ends already rebuilt
-        Part& sq = pm.part(c.part);
-        const Remote* mirror = sq.remote(c.ent);
-        if (mirror == nullptr) continue;  // verify() reports the asymmetry
-        Remote patched = *mirror;
-        for (Copy& mc : patched.copies)
-          if (mc.part == p) mc.ent = e;
-        sq.setRemote(c.ent, std::move(patched));
-      }
-    }
-    for (const auto& [g, src] : CheckpointAccess::ghostSource(dp)) {
-      if (evac.count(src.part) > 0) continue;
-      Part& sq = pm.part(src.part);
-      const auto& ghosted = CheckpointAccess::ghostedOn(sq);
-      auto it = ghosted.find(src.ent);
-      if (it == ghosted.end()) continue;
-      std::vector<Copy> patched = it->second;
-      for (Copy& mc : patched)
-        if (mc.part == p) mc.ent = g;
-      CheckpointAccess::setGhostedOn(sq, src.ent, std::move(patched));
-    }
-    for (const auto& [e, cps] : CheckpointAccess::ghostedOn(dp)) {
-      for (const Copy& c : cps) {
-        if (evac.count(c.part) > 0) continue;
-        Part& sq = pm.part(c.part);
-        if (sq.isGhost(c.ent))
-          CheckpointAccess::setGhost(sq, c.ent, Copy{p, e});
-      }
-    }
-  }
+  // 3. Patch the survivors' mirror records through copy symmetry.
+  for (PartId p : rep.parts_evacuated)
+    partio::patchMirrors(pm, p, rep.parts_evacuated);
 
   // 4. Re-pin every evacuated part to its buddy rank. This is what lifts
   //    the transport's dead-rank gate: from here on the whole mesh lives

@@ -348,40 +348,8 @@ void Armor::rebuildPart(PartId p, std::vector<std::byte> mesh_bytes,
   };
   partio::applyMeta(pm_.part(p), p, std::move(meta_bytes), entOf, ctx);
 
-  // Patch the survivors' mirror records through copy symmetry: their
-  // stored handles into part p died with the wiped mesh, but p's rebuilt
-  // records name the same links from the other end (valid on both sides).
-  const Part& dp = pm_.part(p);
-  for (const auto& [e, r] : dp.remotes()) {
-    for (const Copy& c : r.copies) {
-      if (c.part == p) continue;
-      Part& sq = pm_.part(c.part);
-      const Remote* mirror = sq.remote(c.ent);
-      if (mirror == nullptr) continue;  // verify() reports the asymmetry
-      Remote patched = *mirror;
-      for (Copy& mc : patched.copies)
-        if (mc.part == p) mc.ent = e;
-      sq.setRemote(c.ent, std::move(patched));
-    }
-  }
-  for (const auto& [g, gsrc] : CheckpointAccess::ghostSource(dp)) {
-    if (gsrc.part == p) continue;
-    Part& sq = pm_.part(gsrc.part);
-    const auto& ghosted = CheckpointAccess::ghostedOn(sq);
-    auto it = ghosted.find(gsrc.ent);
-    if (it == ghosted.end()) continue;
-    std::vector<Copy> patched = it->second;
-    for (Copy& mc : patched)
-      if (mc.part == p) mc.ent = g;
-    CheckpointAccess::setGhostedOn(sq, gsrc.ent, std::move(patched));
-  }
-  for (const auto& [e, cps] : CheckpointAccess::ghostedOn(dp)) {
-    for (const Copy& c : cps) {
-      if (c.part == p) continue;
-      Part& sq = pm_.part(c.part);
-      if (sq.isGhost(c.ent)) CheckpointAccess::setGhost(sq, c.ent, Copy{p, e});
-    }
-  }
+  // Survivors' mirror records still hold p's old handles.
+  partio::patchMirrors(pm_, p, {p});
   if (pcu::trace::enabled())
     pcu::trace::counter("integrity:bytes_replayed",
                         static_cast<std::int64_t>(replayed));

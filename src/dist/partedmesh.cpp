@@ -505,107 +505,130 @@ namespace {
   throw std::logic_error(os.str());
 }
 
+/// Residence agreement, {pa} ∪ a == {pb} ∪ b, for sorted, unique, self-free
+/// copy lists with pb in a and pa in b: merge a without pb, b without pa.
+bool sameResidence(PartId pa, const std::vector<Copy>& a, PartId pb,
+                   const std::vector<Copy>& b) {
+  for (std::size_t i = 0, j = 0;; ++i, ++j) {
+    i += i < a.size() && a[i].part == pb;
+    j += j < b.size() && b[j].part == pa;
+    if (i == a.size() || j == b.size()) return i == a.size() && j == b.size();
+    if (a[i].part != b[j].part) return false;
+  }
+}
+
 }  // namespace
 
 void PartedMesh::verify() const {
-  const int dim = dim_;
+  // Cost follows the part boundary and the element count. Pass 1 walks each
+  // part's ghost and remote maps, each record on its own, then applies the
+  // residence rule top down: mark the one-level closure of every non-ghost
+  // element, then of every marked entity; an unmarked non-ghost entity has
+  // no adjacent element on its part. Records of dead entities are skipped.
+  constexpr char kGhost = 1, kClosed = 2;
+  std::array<std::vector<char>, core::kTopoCount> marks;
+  std::array<Ent, core::kMaxDown> down;
   for (const auto& pp : parts_) {
     const Part& p = *pp;
-    for (int d = 0; d <= dim; ++d) {
-      for (Ent e : p.mesh().entities(d)) {
-        const Remote* r = p.remote(e);
-        if (p.isGhost(e)) {
-          if (r != nullptr) vfail("ghost entity has remote record", p.id(), e);
-          const Copy src = p.ghostSource(e);
-          const Part& sp = part(src.part);
-          if (!sp.mesh().alive(src.ent))
-            vfail("ghost source entity is dead", p.id(), e);
-          const auto* gcopies = sp.ghostCopies(src.ent);
-          if (gcopies == nullptr ||
-              std::find(gcopies->begin(), gcopies->end(),
-                        Copy{p.id(), e}) == gcopies->end())
-            vfail("ghost source does not track this ghost", p.id(), e);
-          continue;
-        }
-        if (r != nullptr) {
-          if (r->copies.empty())
-            vfail("shared entity with empty copy list", p.id(), e);
-          // Copies sorted by part, unique, and symmetric.
-          for (std::size_t i = 0; i + 1 < r->copies.size(); ++i)
-            if (!(r->copies[i].part < r->copies[i + 1].part))
-              vfail("copy list not sorted/unique", p.id(), e);
-          const auto res = p.residence(e);
-          if (std::find(res.begin(), res.end(), r->owner) == res.end())
-            vfail("owner not in residence set", p.id(), e);
-          for (const Copy& c : r->copies) {
-            if (c.part == p.id()) vfail("copy list contains self", p.id(), e);
-            const Part& q = part(c.part);
-            if (!q.mesh().alive(c.ent)) vfail("dead remote copy", p.id(), e);
-            if (c.ent.topo() != e.topo())
-              vfail("remote copy topology mismatch", p.id(), e);
-            const Remote* rq = q.remote(c.ent);
-            if (rq == nullptr) vfail("remote copy not shared", p.id(), e);
-            if (rq->owner != r->owner)
-              vfail("owner disagreement across copies", p.id(), e);
-            const bool back =
-                std::find(rq->copies.begin(), rq->copies.end(),
-                          Copy{p.id(), e}) != rq->copies.end();
-            if (!back) vfail("copy symmetry broken", p.id(), e);
-            if (q.residence(c.ent) != res)
-              vfail("residence disagreement across copies", p.id(), e);
-            // Geometric agreement.
-            if (d == 0 && !(q.mesh().point(c.ent) == p.mesh().point(e)))
-              vfail("vertex coordinate disagreement", p.id(), e);
-            if (q.mesh().classification(c.ent) != p.mesh().classification(e))
-              vfail("classification disagreement", p.id(), e);
-          }
-        }
-        // Residence rule: this part must host an adjacent non-ghost element
-        // (entities exist exactly where adjacent elements are).
-        if (d < dim) {
-          bool has_elem = false;
-          for (Ent u : p.mesh().adjacentSpan(e, dim))
-            if (!p.isGhost(u)) has_elem = true;
-          if (!has_elem)
-            vfail("entity resides on part without adjacent element", p.id(),
-                  e);
-        } else {
-          if (r != nullptr) vfail("element is shared", p.id(), e);
-        }
-        // Owned ghost-copy tracking only on real entities; checked above.
-      }
-    }
-    // Ghost-map consistency beyond what live-entity iteration covers: the
-    // maps themselves must not reference dead entities or invalid parts,
-    // and every tracked ghost copy (a syncGhostTags target) must exist, be
-    // a ghost, and point back at its source.
+    const core::Mesh& m = p.mesh();
+    for (int t = 0; t < core::kTopoCount; ++t)
+      marks[std::size_t(t)].assign(m.slots(core::Topo(t)), 0);
+    const auto mark = [&](Ent e) -> char& {
+      return marks[static_cast<std::size_t>(e.topo())][e.index()];
+    };
     for (const auto& [g, src] : p.ghost_source_) {
-      if (!p.mesh().alive(g))
-        vfail("ghost-source record for dead entity", p.id(), g);
+      if (!m.alive(g)) vfail("ghost-source record for dead entity", p.id(), g);
       if (src.part < 0 || src.part >= parts() || src.part == p.id())
         vfail("ghost source names invalid part", p.id(), g,
               "source part " + std::to_string(src.part));
+      if (p.remote(g) != nullptr)
+        vfail("ghost entity has remote record", p.id(), g);
+      const Part& sp = part(src.part);
+      if (!sp.mesh().alive(src.ent))
+        vfail("ghost source entity is dead", p.id(), g);
+      const auto* gcopies = sp.ghostCopies(src.ent);
+      if (gcopies == nullptr || std::find(gcopies->begin(), gcopies->end(),
+                                          Copy{p.id(), g}) == gcopies->end())
+        vfail("ghost source does not track this ghost", p.id(), g);
+      mark(g) |= kGhost;
     }
+    // Every tracked ghost copy (a syncGhostTags target) must exist, be a
+    // ghost, and point back at its source.
     for (const auto& [e, gcopies] : p.ghosted_on_) {
-      if (!p.mesh().alive(e))
-        vfail("ghost-copy record for dead entity", p.id(), e);
+      if (!m.alive(e)) vfail("ghost-copy record for dead entity", p.id(), e);
       if (p.isGhost(e))
         vfail("ghost entity tracks ghost copies of its own", p.id(), e);
       for (const Copy& c : gcopies) {
+        const auto fail = [&](const char* what, const char* on) {
+          vfail(what, p.id(), e, on + std::to_string(c.part));
+        };
         if (c.part < 0 || c.part >= parts() || c.part == p.id())
-          vfail("tracked ghost copy names invalid part", p.id(), e,
-                "ghost part " + std::to_string(c.part));
+          fail("tracked ghost copy names invalid part", "ghost part ");
         const Part& q = part(c.part);
         if (!q.mesh().alive(c.ent))
-          vfail("tracked ghost copy is dead", p.id(), e,
-                "on part " + std::to_string(c.part));
+          fail("tracked ghost copy is dead", "on part ");
         if (!q.isGhost(c.ent))
-          vfail("tracked ghost copy is not a ghost", p.id(), e,
-                "on part " + std::to_string(c.part));
+          fail("tracked ghost copy is not a ghost", "on part ");
         const Copy back = q.ghostSource(c.ent);
         if (back.part != p.id() || !(back.ent == e))
-          vfail("ghost copy does not point back at its source", p.id(), e,
-                "on part " + std::to_string(c.part));
+          fail("ghost copy does not point back at its source", "on part ");
+      }
+    }
+    for (const auto& [e, r] : p.remotes_) {
+      if (!m.alive(e)) continue;
+      if (r.copies.empty())
+        vfail("shared entity with empty copy list", p.id(), e);
+      bool owner_resides = r.owner == p.id();
+      for (std::size_t i = 0; i < r.copies.size(); ++i) {
+        if (i > 0 && !(r.copies[i - 1].part < r.copies[i].part))
+          vfail("copy list not sorted/unique", p.id(), e);
+        if (r.copies[i].part == p.id())
+          vfail("copy list contains self", p.id(), e);
+        owner_resides = owner_resides || r.copies[i].part == r.owner;
+      }
+      if (!owner_resides) vfail("owner not in residence set", p.id(), e);
+      if (core::topoDim(e.topo()) == dim_)
+        vfail("element is shared", p.id(), e);
+    }
+    for (int d = dim_; d >= 0; --d) {
+      for (Ent e : m.entities(d)) {
+        const char f = mark(e);
+        if (d == dim_ ? (f & kGhost) != 0 : (f & kClosed) == 0) {
+          if ((f & kGhost) == 0)
+            vfail("entity resides on part without adjacent element", p.id(),
+                  e);
+          continue;
+        }
+        const int n = d == 0 ? 0 : m.downward(e, d - 1, down.data());
+        for (int i = 0; i < n; ++i) mark(down[std::size_t(i)]) |= kClosed;
+      }
+    }
+  }
+  // Pass 2: every live record is now sorted, unique and self-free, and no
+  // ghost has one. Check each record against its copies.
+  for (const auto& pp : parts_) {
+    const Part& p = *pp;
+    for (const auto& [e, r] : p.remotes_) {
+      if (!p.mesh().alive(e)) continue;
+      for (const Copy& c : r.copies) {
+        const Part& q = part(c.part);
+        if (!q.mesh().alive(c.ent)) vfail("dead remote copy", p.id(), e);
+        if (c.ent.topo() != e.topo())
+          vfail("remote copy topology mismatch", p.id(), e);
+        const Remote* rq = q.remote(c.ent);
+        if (rq == nullptr) vfail("remote copy not shared", p.id(), e);
+        if (rq->owner != r.owner)
+          vfail("owner disagreement across copies", p.id(), e);
+        if (std::find(rq->copies.begin(), rq->copies.end(),
+                      Copy{p.id(), e}) == rq->copies.end())
+          vfail("copy symmetry broken", p.id(), e);
+        if (!sameResidence(p.id(), r.copies, c.part, rq->copies))
+          vfail("residence disagreement across copies", p.id(), e);
+        if (e.topo() == core::Topo::Vertex &&
+            !(q.mesh().point(c.ent) == p.mesh().point(e)))
+          vfail("vertex coordinate disagreement", p.id(), e);
+        if (q.mesh().classification(c.ent) != p.mesh().classification(e))
+          vfail("classification disagreement", p.id(), e);
       }
     }
   }

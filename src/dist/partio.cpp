@@ -184,5 +184,43 @@ void applyMetaPartial(Part& part, PartId p, std::vector<std::byte> meta,
   if (!b.done()) failValidation(ctx + ": trailing bytes in metadata stream");
 }
 
+void patchMirrors(PartedMesh& pm, PartId p,
+                  const std::vector<PartId>& rebuilt) {
+  const auto skip = [&rebuilt](PartId q) {
+    return std::find(rebuilt.begin(), rebuilt.end(), q) != rebuilt.end();
+  };
+  const Part& dp = pm.part(p);
+  for (const auto& [e, r] : dp.remotes()) {
+    for (const Copy& c : r.copies) {
+      if (skip(c.part)) continue;
+      Part& sq = pm.part(c.part);
+      const Remote* mirror = sq.remote(c.ent);
+      if (mirror == nullptr) continue;  // verify() reports the asymmetry
+      Remote patched = *mirror;
+      for (Copy& mc : patched.copies)
+        if (mc.part == p) mc.ent = e;
+      sq.setRemote(c.ent, std::move(patched));
+    }
+  }
+  for (const auto& [g, src] : CheckpointAccess::ghostSource(dp)) {
+    if (skip(src.part)) continue;
+    Part& sq = pm.part(src.part);
+    const auto& ghosted = CheckpointAccess::ghostedOn(sq);
+    auto it = ghosted.find(src.ent);
+    if (it == ghosted.end()) continue;
+    std::vector<Copy> patched = it->second;
+    for (Copy& mc : patched)
+      if (mc.part == p) mc.ent = g;
+    CheckpointAccess::setGhostedOn(sq, src.ent, std::move(patched));
+  }
+  for (const auto& [e, cps] : CheckpointAccess::ghostedOn(dp)) {
+    for (const Copy& c : cps) {
+      if (skip(c.part)) continue;
+      Part& sq = pm.part(c.part);
+      if (sq.isGhost(c.ent)) CheckpointAccess::setGhost(sq, c.ent, Copy{p, e});
+    }
+  }
+}
+
 }  // namespace partio
 }  // namespace dist

@@ -113,6 +113,13 @@ void applyMetaPartial(Part& part, PartId p, std::vector<std::byte> meta,
                       const std::string& ctx, const std::vector<bool>& lost,
                       std::vector<Ent>& dropped_ghosts);
 
+/// After part `p`'s records were rebuilt from a replica, point the other
+/// parts' mirror records at its fresh handles: p's records name the same
+/// links from the other end, with valid handles on both sides. Links to
+/// parts in `rebuilt` are skipped; their records were rebuilt too.
+void patchMirrors(PartedMesh& pm, PartId p,
+                  const std::vector<PartId>& rebuilt);
+
 }  // namespace partio
 }  // namespace dist
 

@@ -107,7 +107,8 @@ class InBuffer {
     assert(pos_ + n * sizeof(T) <= bytes_.size() &&
            "unpackVector past end of buffer");
     std::vector<T> v(n);
-    std::memcpy(v.data(), bytes_.data() + pos_, n * sizeof(T));
+    // An empty vector's data() may be null, which memcpy must not receive.
+    if (n > 0) std::memcpy(v.data(), bytes_.data() + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);
     return v;
   }

@@ -44,6 +44,16 @@ TEST(PcuBuffer, RoundTripVector) {
   EXPECT_TRUE(in.done());
 }
 
+TEST(PcuBuffer, EmptyVectorRoundTripsAlone) {
+  // A zero-length payload: the buffer holds only the length prefix, and
+  // the unpacked vector owns no storage (its data() may be null).
+  pcu::OutBuffer out;
+  out.packVector(std::vector<std::uint8_t>{});
+  pcu::InBuffer in(std::move(out).take());
+  EXPECT_TRUE(in.unpackVector<std::uint8_t>().empty());
+  EXPECT_TRUE(in.done());
+}
+
 TEST(PcuBuffer, MixedSequencePreservesOrder) {
   pcu::OutBuffer out;
   out.pack<int>(7);

@@ -184,6 +184,12 @@ struct GoldenCase {
   std::uint64_t hash;
 };
 
+/// Name the case, not its bytes: gtest would print the `name` pointer's
+/// value into the ctest name, which changes from build to build.
+void PrintTo(const GoldenCase& c, std::ostream* os) {
+  *os << c.name << c.nparts;
+}
+
 /// The solver's exact arithmetic is part of its contract: iteration counts
 /// and every bit of the solution are pinned for a fixed input, in serial
 /// and threaded delivery alike.
