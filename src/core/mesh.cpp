@@ -26,32 +26,52 @@ bool sameVertexSet(std::span<const Ent> a, std::span<const Ent> b) {
   return true;
 }
 
-}  // namespace
+/// Entry i of `down` has the vertex set of t's template boundary entity i.
+bool boundaryMatches(const Mesh& m, Topo t, std::span<const Ent> vs,
+                     std::span<const Ent> down) {
+  std::array<Ent, kMaxDown> have{}, want{};
+  for (std::size_t i = 0; i < down.size(); ++i) {
+    const auto idxs = topoBoundaryVerts(t, topoDim(t) - 1, int(i));
+    for (std::size_t k = 0; k < idxs.size(); ++k) want[k] = vs[idxs[k]];
+    const int n = m.downward(down[i], 0, have.data());
+    if (!sameVertexSet({have.data(), std::size_t(n)},
+                       {want.data(), idxs.size()}))
+      return false;
+  }
+  return true;
+}
 
-Ent Mesh::createVertex(const Vec3& x, gmi::Entity* cls) {
-  Pool& p = pool(Topo::Vertex);
-  std::uint32_t idx;
-  if (!p.free_list.empty()) {
-    idx = p.free_list.back();
-    p.free_list.pop_back();
-    p.alive[idx] = 1;
-    p.up[idx].clear();
-    p.cls[idx] = cls;
-    coords_[idx] = x;
-  } else {
-    idx = p.slots();
+/// A free slot of pool `p` (or a new one), made live and classified on
+/// `cls`. The pool's verts/down/coordinates are the caller's to fill.
+template <typename Pool>
+std::uint32_t takeSlot(Pool& p, gmi::Entity* cls) {
+  p.live += 1;
+  if (p.free_list.empty()) {
     p.alive.push_back(1);
     p.up.emplace_back();
     p.cls.push_back(cls);
-    coords_.push_back(x);
+    return p.slots() - 1;
   }
-  p.live += 1;
+  const std::uint32_t idx = p.free_list.back();
+  p.free_list.pop_back();
+  p.alive[idx] = 1;
+  p.up[idx].clear();
+  p.cls[idx] = cls;
+  return idx;
+}
+
+}  // namespace
+
+Ent Mesh::createVertex(const Vec3& x, gmi::Entity* cls) {
+  const std::uint32_t idx = takeSlot(pool(Topo::Vertex), cls);
+  coords_.resize(pool(Topo::Vertex).slots());
+  coords_[idx] = x;
   ++topo_version_;
   return Ent(Topo::Vertex, idx);
 }
 
-Ent Mesh::allocate(Topo t, std::span<const Ent> vs, std::span<const Ent> down,
-                   gmi::Entity* cls) {
+Ent Mesh::createEntity(Topo t, std::span<const Ent> vs,
+                       std::span<const Ent> down, gmi::Entity* cls) {
   Pool& p = pool(t);
   if (p.stride_verts == 0) {
     p.stride_verts = topoVertexCount(t);
@@ -59,32 +79,15 @@ Ent Mesh::allocate(Topo t, std::span<const Ent> vs, std::span<const Ent> down,
   }
   assert(static_cast<int>(vs.size()) == p.stride_verts);
   assert(static_cast<int>(down.size()) == p.stride_down);
-  std::uint32_t idx;
-  if (!p.free_list.empty()) {
-    idx = p.free_list.back();
-    p.free_list.pop_back();
-    p.alive[idx] = 1;
-    p.up[idx].clear();
-    p.cls[idx] = cls;
-    std::copy(vs.begin(), vs.end(),
-              p.verts.begin() + std::size_t{idx} * p.stride_verts);
-    std::copy(down.begin(), down.end(),
-              p.down.begin() + std::size_t{idx} * p.stride_down);
-  } else {
-    idx = p.slots();
-    p.alive.push_back(1);
-    p.up.emplace_back();
-    p.cls.push_back(cls);
-    p.verts.insert(p.verts.end(), vs.begin(), vs.end());
-    p.down.insert(p.down.end(), down.begin(), down.end());
-  }
-  p.live += 1;
+  assert(boundaryMatches(*this, t, vs, down));
+  const std::size_t idx = takeSlot(p, cls);
+  p.verts.resize(std::size_t{p.slots()} * p.stride_verts);
+  p.down.resize(std::size_t{p.slots()} * p.stride_down);
+  std::copy(vs.begin(), vs.end(), p.verts.begin() + idx * p.stride_verts);
+  std::copy(down.begin(), down.end(), p.down.begin() + idx * p.stride_down);
   ++topo_version_;
-  const Ent e(t, idx);
-  for (Ent b : down) {
-    Pool& bp = pool(b.topo());
-    bp.up[b.index()].push_back(e);
-  }
+  const Ent e(t, static_cast<std::uint32_t>(idx));
+  for (Ent b : down) pool(b.topo()).up[b.index()].push_back(e);
   return e;
 }
 
@@ -93,10 +96,6 @@ Ent Mesh::buildElement(Topo t, std::span<const Ent> vs, gmi::Entity* cls) {
   if (t == Topo::Vertex) return vs[0];
   if (Ent found = findEntity(t, vs)) return found;
   const int d = topoDim(t);
-  if (d == 1) {
-    // An edge's one-level boundary is its vertices.
-    return allocate(t, vs, vs, cls);
-  }
   std::array<Ent, kMaxDown> down{};
   const int nb = topoBoundaryCount(t, d - 1);
   for (int i = 0; i < nb; ++i) {
@@ -106,7 +105,8 @@ Ent Mesh::buildElement(Topo t, std::span<const Ent> vs, gmi::Entity* cls) {
     for (std::size_t k = 0; k < idxs.size(); ++k) bverts[k] = vs[idxs[k]];
     down[i] = buildElement(bt, {bverts.data(), idxs.size()}, cls);
   }
-  return allocate(t, vs, {down.data(), static_cast<std::size_t>(nb)}, cls);
+  return createEntity(t, vs, {down.data(), static_cast<std::size_t>(nb)},
+                      cls);
 }
 
 void Mesh::destroy(Ent e) {

@@ -101,6 +101,12 @@ class Mesh {
   Ent buildElement(Topo t, std::span<const Ent> verts,
                    gmi::Entity* cls = nullptr);
 
+  /// Create the `t` over `verts` (canonical order) from its existing
+  /// one-level boundary `down` in template order (an edge's is its
+  /// vertices), classified on `cls`: no lookup, unlike buildElement().
+  Ent createEntity(Topo t, std::span<const Ent> verts,
+                   std::span<const Ent> down, gmi::Entity* cls = nullptr);
+
   /// Delete an entity. It must not bound any live higher-dimension entity.
   /// Tag values attached to it are dropped; handles to it become invalid.
   void destroy(Ent e);
@@ -264,11 +270,6 @@ class Mesh {
   [[nodiscard]] const Pool& pool(Topo t) const {
     return pools_[static_cast<std::size_t>(t)];
   }
-
-  /// Allocate a slot in t's pool and record verts/down/cls; registers this
-  /// entity in the up lists of its one-level boundary.
-  Ent allocate(Topo t, std::span<const Ent> vs, std::span<const Ent> down,
-               gmi::Entity* cls);
 
   void buildCsr(Csr& c, int from, int to) const;
 

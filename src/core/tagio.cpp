@@ -1,5 +1,6 @@
 #include "core/tagio.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <typeindex>
@@ -10,19 +11,29 @@ namespace {
 
 enum class TagType : std::uint8_t { Int = 0, Long = 1, Double = 2 };
 
-template <typename T>
-void packTyped(const core::Mesh& mesh, core::Mesh::Tag tag, core::Ent e,
-               TagType code, pcu::OutBuffer& buf) {
-  buf.packString(tag->name());
-  buf.pack(code);
-  buf.pack<std::uint32_t>(static_cast<std::uint32_t>(tag->components()));
-  buf.packVector(mesh.tags().get<T>(tag, e));
+/// The wire code of a transported tag's element type; nullopt for the
+/// part-local element types.
+std::optional<TagType> codeOf(core::Mesh::Tag tag) {
+  if (tag->type() == std::type_index(typeid(int))) return TagType::Int;
+  if (tag->type() == std::type_index(typeid(long))) return TagType::Long;
+  if (tag->type() == std::type_index(typeid(double))) return TagType::Double;
+  return std::nullopt;
+}
+
+/// Call f(T{}) with the element type T that `code` names; no call for an
+/// unknown code.
+template <typename F>
+void withType(TagType code, F&& f) {
+  switch (code) {
+    case TagType::Int: return f(int{});
+    case TagType::Long: return f(long{});
+    case TagType::Double: return f(double{});
+  }
 }
 
 template <typename T>
-void unpackTyped(core::Mesh& mesh, core::Ent e, const std::string& name,
-                 std::uint32_t components, pcu::InBuffer& buf) {
-  auto values = buf.unpackVector<T>();
+void setTyped(core::Mesh& mesh, core::Ent e, const std::string& name,
+              std::size_t components, std::vector<T> values) {
   core::Mesh::Tag tag = mesh.tags().find(name);
   if (tag == nullptr) tag = mesh.tags().create<T>(name, components);
   mesh.tags().set<T>(tag, e, std::move(values));
@@ -32,25 +43,34 @@ void unpackTyped(core::Mesh& mesh, core::Ent e, const std::string& name,
 
 void packTags(const core::Mesh& mesh, core::Ent e, pcu::OutBuffer& buf,
               const std::string& only) {
-  std::uint32_t count = 0;
-  for (auto* tag : mesh.tags().list()) {
-    if (!tag->has(e)) continue;
-    if (!only.empty() && tag->name() != only) continue;
-    if (tag->type() == std::type_index(typeid(int)) ||
-        tag->type() == std::type_index(typeid(long)) ||
-        tag->type() == std::type_index(typeid(double)))
-      ++count;
+  const auto tags = mesh.tags().list();
+  const auto wanted = [&](core::Mesh::Tag tag) {
+    return tag->has(e) && (only.empty() || tag->name() == only) &&
+           codeOf(tag).has_value();
+  };
+  buf.pack(static_cast<std::uint32_t>(
+      std::count_if(tags.begin(), tags.end(), wanted)));
+  for (core::Mesh::Tag tag : tags) {
+    if (!wanted(tag)) continue;
+    buf.packString(tag->name());
+    buf.pack(*codeOf(tag));
+    buf.pack<std::uint32_t>(static_cast<std::uint32_t>(tag->components()));
+    withType(*codeOf(tag), [&](auto t) {
+      buf.packVector(mesh.tags().get<decltype(t)>(tag, e));
+    });
   }
-  buf.pack(count);
-  for (auto* tag : mesh.tags().list()) {
-    if (!tag->has(e)) continue;
-    if (!only.empty() && tag->name() != only) continue;
-    if (tag->type() == std::type_index(typeid(int)))
-      packTyped<int>(mesh, tag, e, TagType::Int, buf);
-    else if (tag->type() == std::type_index(typeid(long)))
-      packTyped<long>(mesh, tag, e, TagType::Long, buf);
-    else if (tag->type() == std::type_index(typeid(double)))
-      packTyped<double>(mesh, tag, e, TagType::Double, buf);
+}
+
+void copyTags(const core::Mesh& from, std::span<const core::Mesh::Tag> tags,
+              core::Ent e, core::Mesh& to, core::Ent copy) {
+  for (core::Mesh::Tag tag : tags) {
+    const auto code = codeOf(tag);
+    if (!code || !tag->has(e)) continue;
+    withType(*code, [&](auto t) {
+      using T = decltype(t);
+      setTyped<T>(to, copy, tag->name(), tag->components(),
+                  from.tags().get<T>(tag, e));
+    });
   }
 }
 
@@ -60,17 +80,7 @@ void skipTags(pcu::InBuffer& buf) {
     (void)buf.unpackString();
     const auto code = buf.unpack<TagType>();
     (void)buf.unpack<std::uint32_t>();
-    switch (code) {
-      case TagType::Int:
-        (void)buf.unpackVector<int>();
-        break;
-      case TagType::Long:
-        (void)buf.unpackVector<long>();
-        break;
-      case TagType::Double:
-        (void)buf.unpackVector<double>();
-        break;
-    }
+    withType(code, [&](auto t) { (void)buf.unpackVector<decltype(t)>(); });
   }
 }
 
@@ -98,12 +108,8 @@ std::optional<std::size_t> tagsExtent(const std::byte* data,
         !read(components) || !read(n))
       return std::nullopt;
     std::uint64_t width = 0;
-    switch (code) {
-      case TagType::Int: width = sizeof(int); break;
-      case TagType::Long: width = sizeof(long); break;
-      case TagType::Double: width = sizeof(double); break;
-      default: return std::nullopt;
-    }
+    withType(code, [&](auto t) { width = sizeof(t); });
+    if (width == 0) return std::nullopt;  // unknown tag type
     if (n > (size - pos) / width || !skip(n * width)) return std::nullopt;
   }
   return pos;
@@ -115,17 +121,9 @@ void unpackTags(core::Mesh& mesh, core::Ent e, pcu::InBuffer& buf) {
     const std::string name = buf.unpackString();
     const auto code = buf.unpack<TagType>();
     const auto components = buf.unpack<std::uint32_t>();
-    switch (code) {
-      case TagType::Int:
-        unpackTyped<int>(mesh, e, name, components, buf);
-        break;
-      case TagType::Long:
-        unpackTyped<long>(mesh, e, name, components, buf);
-        break;
-      case TagType::Double:
-        unpackTyped<double>(mesh, e, name, components, buf);
-        break;
-    }
+    withType(code, [&](auto t) {
+      setTyped(mesh, e, name, components, buf.unpackVector<decltype(t)>());
+    });
   }
 }
 

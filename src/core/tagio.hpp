@@ -26,6 +26,10 @@ void packTags(const core::Mesh& mesh, core::Ent e, pcu::OutBuffer& buf,
 /// creating same-named tags as needed.
 void unpackTags(core::Mesh& mesh, core::Ent e, pcu::InBuffer& buf);
 
+/// packTags then unpackTags of `tags` (from.tags().list()), with no buffer.
+void copyTags(const core::Mesh& from, std::span<const core::Mesh::Tag> tags,
+              core::Ent e, core::Mesh& to, core::Ent copy);
+
 /// Advance past a packTags record without applying it.
 void skipTags(pcu::InBuffer& buf);
 

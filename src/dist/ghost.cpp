@@ -19,9 +19,9 @@
 #include <string>
 
 #include "common/flatmap.hpp"
+#include "core/tagio.hpp"
 #include "dist/keymaps_impl.hpp"
 #include "dist/partedmesh.hpp"
-#include "dist/tagio.hpp"
 #include "pcu/trace.hpp"
 
 namespace dist {
@@ -179,7 +179,7 @@ void PartedMesh::syncSharedTagsBody(const std::string& only) {
       for (const Copy& c : r.copies) {
         pcu::OutBuffer b;
         b.pack<std::uint64_t>(c.ent.packed());
-        packTags(p.mesh(), e, b, only);
+        core::packTags(p.mesh(), e, b, only);
         net_.send(p.id(), c.part, std::move(b));
       }
     }
@@ -187,7 +187,7 @@ void PartedMesh::syncSharedTagsBody(const std::string& only) {
   net_.deliverAll([&](PartId to, PartId, pcu::InBuffer body) {
     Part& p = *parts_[static_cast<std::size_t>(to)];
     const Ent local = Ent::unpack(body.unpack<std::uint64_t>());
-    unpackTags(p.mesh(), local, body);
+    core::unpackTags(p.mesh(), local, body);
   });
 }
 
@@ -203,7 +203,7 @@ void PartedMesh::syncGhostTagsBody() {
       for (const Copy& g : ghosts) {
         pcu::OutBuffer b;
         b.pack<std::uint64_t>(g.ent.packed());
-        packTags(p.mesh(), real, b);
+        core::packTags(p.mesh(), real, b);
         net_.send(p.id(), g.part, std::move(b));
       }
     }
@@ -211,7 +211,7 @@ void PartedMesh::syncGhostTagsBody() {
   net_.deliverAll([&](PartId to, PartId, pcu::InBuffer body) {
     Part& p = *parts_[static_cast<std::size_t>(to)];
     const Ent ghost = Ent::unpack(body.unpack<std::uint64_t>());
-    unpackTags(p.mesh(), ghost, body);
+    core::unpackTags(p.mesh(), ghost, body);
   });
 }
 

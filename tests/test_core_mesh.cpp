@@ -156,6 +156,60 @@ INSTANTIATE_TEST_SUITE_P(AllRegions, SingleElement,
                            return core::topoName(info.param);
                          });
 
+/// Every pool in slot order: liveness, canonical vertices, one-level
+/// boundary and up list of each slot.
+std::vector<Ent> poolDump(const Mesh& m) {
+  std::vector<Ent> out;
+  std::array<Ent, core::kMaxDown> buf{};
+  for (int t = 0; t < core::kTopoCount; ++t) {
+    for (std::uint32_t i = 0; i < m.slots(Topo(t)); ++i) {
+      const Ent e(Topo(t), i);
+      out.push_back(m.alive(e) ? e : Ent{});
+      if (!m.alive(e)) continue;
+      const int d = core::topoDim(e.topo());
+      for (int k : {0, d == 0 ? 0 : d - 1}) {
+        const int n = m.downward(e, k, buf.data());
+        out.insert(out.end(), buf.begin(), buf.begin() + n);
+      }
+      out.push_back(Ent{});
+      out.insert(out.end(), m.up(e).begin(), m.up(e).end());
+    }
+  }
+  return out;
+}
+
+TEST(Mesh, CreateEntityMatchesBuildElement) {
+  for (Topo t : {Topo::Tet, Topo::Hex}) {
+    Mesh built, created;
+    std::vector<Ent> vs;
+    for (const Vec3& p : referenceCoords(t)) {
+      vs.push_back(built.createVertex(p));
+      created.createVertex(p);
+    }
+    const std::uint64_t v0 = built.topoVersion();
+    const Ent e = built.buildElement(t, vs);
+    const std::uint64_t bumps = built.topoVersion() - v0;
+    // Rebuild dimension-ascending from `built`'s stored boundaries, each
+    // pool in slot order, so every handle lands on the same slot.
+    const std::uint64_t c0 = created.topoVersion();
+    std::array<Ent, core::kMaxDown> vbuf{}, dbuf{};
+    for (int d = 1; d <= 3; ++d) {
+      for (Ent x : built.entities(d)) {
+        const int nv = built.downward(x, 0, vbuf.data());
+        const int nb = built.downward(x, d - 1, dbuf.data());
+        EXPECT_EQ(created.createEntity(x.topo(), {vbuf.data(), std::size_t(nv)},
+                                       {dbuf.data(), std::size_t(nb)}),
+                  x);
+      }
+    }
+    EXPECT_EQ(created.topoVersion() - c0, bumps) << core::topoName(t);
+    EXPECT_EQ(bumps, std::uint64_t(core::topoBoundaryCount(t, 1) +
+                                   core::topoBoundaryCount(t, 2) + 1));
+    EXPECT_EQ(poolDump(created), poolDump(built)) << core::topoName(t);
+    EXPECT_EQ(created.findEntity(t, vs), e);
+  }
+}
+
 TEST(Mesh, TwoTetsShareAFace) {
   Mesh m;
   const Ent v0 = m.createVertex({0, 0, 0});
