@@ -14,9 +14,8 @@ namespace {
 
 using Index = common::FlatMap<Ent, int, EntHash>;
 
-/// Reject an untrusted body. Thrown from a delivery handler: serial
-/// delivery stops there, threaded delivery rethrows the lowest part's error
-/// once its workers have joined.
+/// Reject an untrusted body. Thrown from a delivery handler: deliverAll
+/// rethrows the lowest part's error once every destination has run.
 [[noreturn]] void reject(PartId to, PartId from, const std::string& what) {
   throw pcu::Error(pcu::ErrorCode::kValidation, static_cast<int>(to),
                    static_cast<int>(from), kNetChannelTag,
@@ -161,15 +160,20 @@ void Exchange::sum(const std::vector<std::span<double>>& values) {
 
 void Exchange::run(const Plan& plan,
                    const std::vector<std::span<double>>& values, bool add) {
-  for (std::size_t p = 0; p < plan.send.size(); ++p) {
-    const std::span<double> v = values[p];
-    for (const Channel& ch : plan.send[p]) {
+  // Gather: each part packs its channels on its own task; the network
+  // merges the sends in part order, so channels are posted in ascending
+  // source part whatever the width.
+  net_.forEachPart([&](PartId p) {
+    const std::span<double> v = values[static_cast<std::size_t>(p)];
+    for (const Channel& ch : plan.send[static_cast<std::size_t>(p)]) {
       pcu::OutBuffer buf;
       buf.reserve(ch.items.size() * sizeof(double));
       for (int i : ch.items) buf.pack<double>(v[static_cast<std::size_t>(i)]);
-      net_.send(static_cast<PartId>(p), ch.peer, std::move(buf));
+      net_.send(p, ch.peer, std::move(buf));
     }
-  }
+  });
+  // Scatter: one task per destination adds its channels in box order,
+  // which is ascending source part.
   net_.deliverAll([&](PartId to, PartId from, pcu::InBuffer body) {
     const auto& chans = plan.recv[static_cast<std::size_t>(to)];
     const auto ch = std::lower_bound(

@@ -20,8 +20,9 @@
 /// scatter array, so no part reads another part's maps.
 ///
 /// Every message goes through Network::send/deliverAll: framing and CRC,
-/// reliable delivery, fault injection, the dead-rank gate, CommStats and
-/// threaded delivery all apply unchanged. Received bodies are untrusted: a
+/// reliable delivery, fault injection, the dead-rank gate and CommStats
+/// all apply unchanged. The gather (one task per source part) and the
+/// scatter (one task per destination part) run on the worker pool. Received bodies are untrusted: a
 /// body from a (from, to) pair with no channel, or of the wrong length, is
 /// rejected with pcu::Error(kValidation) naming both parts.
 
@@ -48,9 +49,8 @@ class Exchange {
   /// Order contract: channels are posted in ascending source part, and
   /// within a channel items keep the source part's remotes() iteration
   /// order. An owner therefore adds contributions source part by source
-  /// part, each in remotes() order, so results are bit-reproducible in
-  /// serial and threaded delivery alike. After a thrown error the values
-  /// are unspecified.
+  /// part, each in remotes() order, so results are bit-reproducible at
+  /// every width. After a thrown error the values are unspecified.
   void sum(const std::vector<std::span<double>>& values);
 
   /// Number of (copy part -> owner part) channels. The broadcast runs over

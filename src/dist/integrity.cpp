@@ -150,6 +150,10 @@ void Armor::ensureParts() {
 void Armor::sealPart(PartId p) {
   auto& led = ledgers_[static_cast<std::size_t>(p)];
   const Part& part = pm_.part(p);
+  // A CSR view covered at the previous seal stays covered: rebuild the
+  // ones that an operation since then left stale ("csr:<from>-><to>:...").
+  for (const std::string& s : led.sectionNames())
+    if (s.rfind("csr:", 0) == 0) (void)part.mesh().csr(s[4] - '0', s[7] - '0');
   led.seal(part.mesh());
   led.sealExternal("remotes", remotesStream(part));
   led.sealExternal("ghost-src", ghostSourceStream(part));

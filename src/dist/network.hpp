@@ -13,12 +13,11 @@
 /// (explicit message passing), which the two-level benches report.
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -38,6 +37,8 @@
 #include "pcu/machine.hpp"
 #include "pcu/trace.hpp"
 
+#include "common/flatmap.hpp"
+#include "dist/pool.hpp"
 #include "dist/types.hpp"
 
 namespace dist {
@@ -101,14 +102,21 @@ class PartMap {
 
 /// Bulk-synchronous message transport between parts.
 ///
-/// Posting is cheap and delivery is batched: send() stages the payload in a
-/// per-thread vector (no lock from handler threads), and the next phase
-/// boundary merges all stages, coalescing every payload bound for the same
-/// (from, to) pair into one *physical* message — a segment of
-/// length-prefixed sub-messages, split back into individual handler calls
-/// on delivery. Stats follow the same contract as pcu::CommStats:
-/// logical/on-node/off-node counters always count the payloads the
-/// operation posted; `physical_*` counts coalesced segments.
+/// Execution model (the paper's hybrid mode, Sec. II-D): the per-part
+/// loops of the distributed operations run as forEachPart tasks on one
+/// process-wide worker pool, one task per part, and deliverAll runs each
+/// destination part's handlers as one such task. A task writes only its
+/// own part's state, and its sends are staged per part and merged in part
+/// order, so every message, stat, handle and result is the same at every
+/// width (setDeliveryThreads), width 1 included.
+///
+/// Posting is cheap and delivery is batched: the next phase boundary
+/// coalesces every payload bound for the same (from, to) pair into one
+/// *physical* message — a segment of length-prefixed sub-messages, split
+/// back into individual handler calls on delivery. Stats follow the same
+/// contract as pcu::CommStats: logical/on-node/off-node counters always
+/// count the payloads the operation posted; `physical_*` counts coalesced
+/// segments.
 ///
 /// While a fault plan or checksum-verify mode is active
 /// (pcu::faults::framingEnabled()) every physical message is framed with a
@@ -138,12 +146,11 @@ class Network {
   [[nodiscard]] const PartMap& partMap() const { return map_; }
   [[nodiscard]] int parts() const { return map_.parts(); }
 
-  /// Post a message; it is delivered at the next deliverAll(). Thread-safe
-  /// when called from concurrent part handlers (deliverAllThreaded): a
-  /// worker thread's sends go to its private staging vector without
-  /// touching the transport mutex; sends from any other thread stage under
-  /// the mutex. Per-channel posting order is preserved either way (one
-  /// destination part's handler runs entirely on one worker).
+  /// Post a message; it is delivered at the next deliverAll(). A send made
+  /// inside a forEachPart task (a deliverAll handler included) is staged
+  /// with that task's part and merged in part order when the loop ends, so
+  /// the transport sees the sends in the order a serial loop makes them.
+  /// Sends from any other thread stage under the transport mutex.
   void send(PartId from, PartId to, pcu::OutBuffer buf) {
     if (pcu::trace::enabled())
       pcu::trace::sendAs(from, to, static_cast<std::int64_t>(buf.size()),
@@ -173,77 +180,37 @@ class Network {
     return false;
   }
 
-  /// Deliver every pending message: handler(to, from, body). Messages are
-  /// handed over in (destination part, posting order); when delivery
-  /// threads are enabled (setDeliveryThreads), destination parts are
-  /// processed concurrently instead. Messages posted by the handler are
-  /// queued for the next deliverAll.
+  /// Run fn(p) for every part p on the process-wide worker pool
+  /// (dist/pool.hpp) with deliveryThreads() threads, and return once every
+  /// part is done. fn may write only part p's state; its sends are merged
+  /// in part order. The lowest part's exception is rethrown after all
+  /// parts have run.
+  void forEachPart(const std::function<void(PartId)>& fn) {
+    runParts(static_cast<std::size_t>(parts()), fn);
+  }
+
+  /// Deliver every pending message: handler(to, from, body). Destination
+  /// parts run as forEachPart tasks; each gets its messages in posting
+  /// order, grouped by channel in the order the channels were first used.
+  /// Messages posted by the handler are queued for the next deliverAll.
+  /// Delivery is identical at every width, message for message.
   void deliverAll(
       const std::function<void(PartId to, PartId from, pcu::InBuffer body)>&
           handler) {
-    if (delivery_threads_ > 1) {
-      deliverAllThreaded(handler, delivery_threads_);
-      return;
-    }
     auto taken = takeVerified();
-    for (std::size_t to = 0; to < taken.size(); ++to)
-      deliverTo(static_cast<PartId>(to), taken[to], handler);
+    runParts(taken.size(), [&](PartId to) {
+      deliverTo(to, taken[static_cast<std::size_t>(to)], handler);
+    });
   }
 
-  /// Enable (n > 1) or disable (n <= 1) threaded delivery for every
-  /// subsequent deliverAll. All of this library's distributed operations
-  /// mutate only per-destination state in their handlers, so they run
-  /// correctly in either mode; entity handle values may differ between
-  /// modes (creation order within a part changes), the mesh semantics do
-  /// not.
-  void setDeliveryThreads(int n) { delivery_threads_ = n; }
-  [[nodiscard]] int deliveryThreads() const { return delivery_threads_; }
-
-  /// Threaded delivery (the paper's hybrid mode, Sec. II-D: "part
-  /// manipulations take place in parallel threads"): destination parts are
-  /// processed concurrently by `threads` workers; within one destination
-  /// the posting order is preserved. Safe when the handler only mutates
-  /// per-destination state and posts replies through send() — the
-  /// contract every distributed operation in this library honours.
-  void deliverAllThreaded(
-      const std::function<void(PartId to, PartId from, pcu::InBuffer body)>&
-          handler,
-      int threads) {
-    auto taken = takeVerified();
-    // Each worker stages its handlers' replies privately; the stages are
-    // merged (in worker order) after the join, so handler sends never
-    // contend on the transport mutex.
-    std::vector<std::vector<StagedMsg>> stages(
-        static_cast<std::size_t>(threads));
-    std::atomic<std::size_t> next{0};
-    // A handler's exception must not escape its worker thread (that ends
-    // the process): each destination's error is kept and the lowest
-    // part's is rethrown once every worker has joined.
-    std::vector<std::exception_ptr> failed(taken.size());
-    auto worker = [&](std::vector<StagedMsg>* stage) {
-      TlsGuard guard(this, stage);
-      for (;;) {
-        const std::size_t to = next.fetch_add(1);
-        if (to >= taken.size()) return;
-        try {
-          deliverTo(static_cast<PartId>(to), taken[to], handler);
-        } catch (...) {
-          failed[to] = std::current_exception();
-        }
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t)
-      pool.emplace_back(worker, &stages[static_cast<std::size_t>(t)]);
-    for (auto& t : pool) t.join();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      for (auto& stage : stages)
-        for (auto& m : stage) stageLocked(m.from, m.to, std::move(m.bytes));
-    }
-    for (const auto& e : failed)
-      if (e) std::rethrow_exception(e);
+  /// Cap the threads that forEachPart and deliverAll use (n <= 1: run every
+  /// loop on the calling thread). Uncapped by default. The width changes
+  /// only the wall time: sends, stats, handles and every result are the
+  /// same at any width.
+  void setDeliveryThreads(int n) { thread_cap_ = std::max(n, 1); }
+  /// The width forEachPart uses: min(hardware threads, parts, the cap).
+  [[nodiscard]] int deliveryThreads() const {
+    return std::max(1, std::min({pool::size(), parts(), thread_cap_}));
   }
 
   [[nodiscard]] const pcu::CommStats& stats() const { return stats_; }
@@ -339,8 +306,8 @@ class Network {
     std::uint64_t seq = 0;
   };
 
-  /// One logical payload as posted by send() from a worker thread, before
-  /// it is merged into the staged groups.
+  /// One logical payload as posted by send() inside a forEachPart task,
+  /// before it is merged into the staged groups.
   struct StagedMsg {
     PartId from;
     PartId to;
@@ -356,8 +323,8 @@ class Network {
     std::uint64_t logical_bytes = 0;
   };
 
-  /// Thread-local binding of a worker thread to its staging vector; set by
-  /// deliverAllThreaded for the duration of the worker loop.
+  /// Thread-local binding of the running forEachPart task to its part's
+  /// staging vector.
   struct TlsSlot {
     const Network* net = nullptr;
     std::vector<StagedMsg>* stage = nullptr;
@@ -379,6 +346,42 @@ class Network {
    private:
     TlsSlot saved_;
   };
+
+  /// forEachPart over `n` parts: each task stages its sends in its own
+  /// vector, and the vectors are merged in part order once all have run
+  /// (into the enclosing task's stage when the loop is nested in one).
+  void runParts(std::size_t n, const std::function<void(PartId)>& fn) {
+    std::vector<std::vector<StagedMsg>> stages;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      stages.swap(spare_stages_);  // a nested loop finds none and allocates
+    }
+    stages.resize(n);
+    std::exception_ptr error;
+    try {
+      pool::run(n, deliveryThreads(), [&](std::size_t p) {
+        TlsGuard guard(this, &stages[p]);
+        fn(static_cast<PartId>(p));
+      });
+    } catch (...) {
+      error = std::current_exception();
+    }
+    auto& slot = tlsSlot();
+    if (slot.net == this) {
+      for (auto& stage : stages)
+        for (auto& m : stage) slot.stage->push_back(std::move(m));
+    } else {
+      std::lock_guard<std::mutex> lock(mutex_);
+      for (auto& stage : stages)
+        for (auto& m : stage) stageLocked(m.from, m.to, std::move(m.bytes));
+    }
+    for (auto& stage : stages) stage.clear();
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (stages.size() > spare_stages_.size()) spare_stages_.swap(stages);
+    }
+    if (error) std::rethrow_exception(error);
+  }
 
   [[nodiscard]] static std::uint64_t channelKey(PartId from, PartId to) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from))
@@ -433,8 +436,10 @@ class Network {
   /// fault injection apply per physical message). Caller holds mutex_.
   void flushStageLocked() {
     if (staged_groups_.empty()) return;
+    const bool framing = pcu::faults::framingEnabled();
     for (auto& g : staged_groups_)
-      postSegmentLocked(g.from, g.to, std::move(g.bodies), g.logical_bytes);
+      postSegmentLocked(g.from, g.to, std::move(g.bodies), g.logical_bytes,
+                        framing);
     staged_groups_.clear();
     group_of_.clear();
     last_key_ = kNoKey;
@@ -444,7 +449,7 @@ class Network {
   /// mutex_.
   void postSegmentLocked(PartId from, PartId to,
                          std::vector<std::vector<std::byte>> bodies,
-                         std::uint64_t logical_bytes) {
+                         std::uint64_t logical_bytes, bool framing) {
     // Logical counters account what the operations posted; physical
     // counters account what crosses the transport (see class comment). The
     // physical byte size is the segment form either way: payload bytes plus
@@ -462,7 +467,7 @@ class Network {
       stats_.off_node_bytes += logical_bytes;
     }
     auto& box = boxes_[static_cast<std::size_t>(to)];
-    if (!pcu::faults::framingEnabled()) {
+    if (!framing) {
       // Fast path: logical payloads are moved, never re-serialized.
       box.push_back(Pending{from, {}, std::move(bodies), 0});
       return;
@@ -511,9 +516,8 @@ class Network {
 
   /// Flush the stage, swap out the pending boxes and, while framing is
   /// active, verify every destination's batch before any handler runs.
-  /// Verification is single-threaded and happens up front in both delivery
-  /// modes, so a bad batch aborts the phase deterministically with no
-  /// handler side effects.
+  /// Verification is single-threaded and happens up front, so a bad batch
+  /// aborts the phase deterministically with no handler side effects.
   /// Every phase on a part map that still pins a part to a dead rank fails:
   /// the dead rank's parts are unreachable until evacuation re-owns them.
   void checkDeadRanks() const {
@@ -587,9 +591,9 @@ class Network {
                          " at phase boundary " + std::to_string(phase));
   }
 
-  std::vector<std::deque<Pending>> takeVerified() {
+  std::vector<std::vector<Pending>> takeVerified() {
     maybeFireRankFault();
-    std::vector<std::deque<Pending>> taken(boxes_.size());
+    std::vector<std::vector<Pending>> taken(boxes_.size());
     const bool framed = pcu::faults::framingEnabled();
     std::vector<std::unordered_map<PartId, std::uint64_t>> posted;
     {
@@ -620,7 +624,7 @@ class Network {
   /// contiguous up to the sender-side counter snapshot. Leaves plain
   /// payloads in the box on success. In reliable mode the batch is
   /// salvaged (recoverBatch) instead of aborted.
-  void verifyBatch(PartId to, std::deque<Pending>& box,
+  void verifyBatch(PartId to, std::vector<Pending>& box,
                    const std::unordered_map<PartId, std::uint64_t>& posted) {
     if (pcu::arq::enabled()) {
       recoverBatch(to, box, posted);
@@ -701,7 +705,7 @@ class Network {
   /// ordered (sender, seq) — per-channel FIFO exactly as posted; the
   /// cross-channel interleave is normalized, which the handlers tolerate
   /// by the same contract that makes threaded delivery legal.
-  void recoverBatch(PartId to, std::deque<Pending>& box,
+  void recoverBatch(PartId to, std::vector<Pending>& box,
                     const std::unordered_map<PartId, std::uint64_t>& posted) {
     const pcu::arq::Config cfg = pcu::arq::config();
     auto& expected_map = recv_seq_[static_cast<std::size_t>(to)];
@@ -803,10 +807,9 @@ class Network {
   /// Hand one destination part its pending messages, splitting each
   /// physical segment back into its logical sub-messages and attributing
   /// the delivery scope and each logical message to that part ("rank" =
-  /// part id in the trace, in logical units). Used by both sequential and
-  /// threaded delivery, so per-part trace events exist in either mode.
+  /// part id in the trace, in logical units).
   void deliverTo(
-      PartId to, std::deque<Pending>& box,
+      PartId to, std::vector<Pending>& box,
       const std::function<void(PartId, PartId, pcu::InBuffer)>& handler) {
     if (box.empty()) return;
     const bool traced = pcu::trace::enabled();
@@ -837,23 +840,25 @@ class Network {
   }
   PartMap map_;
   mutable std::mutex mutex_;
-  std::vector<std::deque<Pending>> boxes_;
+  std::vector<std::vector<Pending>> boxes_;
   /// Payloads staged since the last flush, already coalesced into
-  /// per-(from, to) groups: driver-thread sends stage directly, worker-stage
-  /// replies merge in after each threaded delivery. Guarded by mutex_, with
-  /// a one-entry cache for the channel of the previous send.
+  /// per-(from, to) groups: driver-thread sends stage directly, task
+  /// stages merge in after each forEachPart. Guarded by mutex_, with a
+  /// one-entry cache for the channel of the previous send.
   static constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
   std::vector<Group> staged_groups_;
-  std::unordered_map<std::uint64_t, std::size_t> group_of_;
+  common::FlatMap<std::uint64_t, std::size_t> group_of_;
   std::uint64_t last_key_ = kNoKey;
   std::size_t last_group_ = 0;
+  /// Cleared per-part stage vectors kept between forEachPart loops so
+  /// their capacity is reused (guarded by mutex_).
+  std::vector<std::vector<StagedMsg>> spare_stages_;
   pcu::CommStats stats_;
   bool coalesce_ = true;
-  int delivery_threads_ = 0;
+  int thread_cap_ = std::numeric_limits<int>::max();
   // Framed-channel state (active only while faults::framingEnabled()).
-  // send_seq_ is guarded by mutex_ (handlers send concurrently in threaded
-  // delivery); recv_seq_ is touched only by the single-threaded
-  // verification pass in takeVerified().
+  // send_seq_ is guarded by mutex_; recv_seq_ is touched only by the
+  // single-threaded verification pass in takeVerified().
   std::unordered_map<std::uint64_t, std::uint64_t> send_seq_;
   std::vector<std::unordered_map<PartId, std::uint64_t>> recv_seq_;
   /// Reliable-mode resend buffer: clean framed segments kept per channel

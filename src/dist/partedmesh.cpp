@@ -534,11 +534,16 @@ void PartedMesh::verify() const {
   // residence rule top down: mark the one-level closure of every non-ghost
   // element, then of every marked entity; an unmarked non-ghost entity has
   // no adjacent element on its part. Records of dead entities are skipped.
-  constexpr char kGhost = 1, kClosed = 2;
-  std::array<std::vector<char>, core::kTopoCount> marks;
-  std::array<Ent, core::kMaxDown> down;
-  for (const auto& pp : parts_) {
-    const Part& p = *pp;
+  // Each pass runs one pool task per part, reading other parts only; the
+  // pool rethrows the lowest part's first failure, as a serial loop would.
+  const auto each = [&](const std::function<void(const Part&)>& check) {
+    pool::run(parts_.size(), net_.deliveryThreads(),
+              [&](std::size_t p) { check(*parts_[p]); });
+  };
+  each([&](const Part& p) {
+    constexpr char kGhost = 1, kClosed = 2;
+    std::array<std::vector<char>, core::kTopoCount> marks;
+    std::array<Ent, core::kMaxDown> down;
     const core::Mesh& m = p.mesh();
     for (int t = 0; t < core::kTopoCount; ++t)
       marks[std::size_t(t)].assign(m.slots(core::Topo(t)), 0);
@@ -615,11 +620,10 @@ void PartedMesh::verify() const {
         for (int i = 0; i < n; ++i) mark(down[std::size_t(i)]) |= kClosed;
       }
     }
-  }
+  });
   // Pass 2: every live record is now sorted, unique and self-free, and no
   // ghost has one. Check each record against its copies.
-  for (const auto& pp : parts_) {
-    const Part& p = *pp;
+  each([&](const Part& p) {
     for (const auto& [e, r] : p.remotes_) {
       if (!p.mesh().alive(e)) continue;
       for (const Copy& c : r.copies) {
@@ -643,7 +647,7 @@ void PartedMesh::verify() const {
           vfail("classification disagreement", p.id(), e);
       }
     }
-  }
+  });
 }
 
 }  // namespace dist

@@ -9,13 +9,14 @@
 /// the only (de)serialization primitives in the library: every distributed
 /// operation (migration, ghosting, ParMA diffusion) marshals through them.
 
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <string>
 #include <type_traits>
 #include <vector>
+
+#include "pcu/error.hpp"
 
 namespace pcu {
 
@@ -75,6 +76,8 @@ class OutBuffer {
 };
 
 /// A read cursor over a byte buffer; unpack order must mirror pack order.
+/// Bodies are untrusted: reading past the end throws
+/// pcu::Error(kValidation).
 class InBuffer {
  public:
   InBuffer() = default;
@@ -84,7 +87,7 @@ class InBuffer {
   T unpack() {
     static_assert(std::is_trivially_copyable_v<T>,
                   "unpack requires a trivially copyable type");
-    assert(pos_ + sizeof(T) <= bytes_.size() && "unpack past end of buffer");
+    need(sizeof(T), 1, "unpack");
     T value;
     std::memcpy(&value, bytes_.data() + pos_, sizeof(T));
     pos_ += sizeof(T);
@@ -93,7 +96,7 @@ class InBuffer {
 
   std::string unpackString() {
     const auto n = unpack<std::uint64_t>();
-    assert(pos_ + n <= bytes_.size() && "unpackString past end of buffer");
+    need(1, n, "unpackString");
     std::string s(reinterpret_cast<const char*>(bytes_.data() + pos_), n);
     pos_ += n;
     return s;
@@ -104,8 +107,7 @@ class InBuffer {
     static_assert(std::is_trivially_copyable_v<T>,
                   "unpackVector requires trivially copyable elements");
     const auto n = unpack<std::uint64_t>();
-    assert(pos_ + n * sizeof(T) <= bytes_.size() &&
-           "unpackVector past end of buffer");
+    need(sizeof(T), n, "unpackVector");
     std::vector<T> v(n);
     // An empty vector's data() may be null, which memcpy must not receive.
     if (n > 0) std::memcpy(v.data(), bytes_.data() + pos_, n * sizeof(T));
@@ -116,7 +118,7 @@ class InBuffer {
   /// Consume `n` raw bytes (no length prefix) into a fresh buffer. Used to
   /// split a coalesced segment back into its logical sub-messages.
   std::vector<std::byte> unpackRaw(std::size_t n) {
-    assert(pos_ + n <= bytes_.size() && "unpackRaw past end of buffer");
+    need(1, n, "unpackRaw");
     std::vector<std::byte> out(bytes_.begin() + static_cast<std::ptrdiff_t>(pos_),
                                bytes_.begin() +
                                    static_cast<std::ptrdiff_t>(pos_ + n));
@@ -135,6 +137,19 @@ class InBuffer {
   [[nodiscard]] std::size_t size() const { return bytes_.size(); }
 
  private:
+  /// Throw unless `count` items of `size` bytes remain (overflow-safe).
+  void need(std::size_t size, std::uint64_t count, const char* what) const {
+    if (count > remaining() / size) [[unlikely]]
+      overrun(size, count, what);
+  }
+  [[noreturn]] void overrun(std::size_t size, std::uint64_t count,
+                            const char* what) const {
+    throw Error(ErrorCode::kValidation, -1,
+                std::string(what) + " past end of buffer: " +
+                    std::to_string(count) + " x " + std::to_string(size) +
+                    " bytes wanted, " + std::to_string(remaining()) + " left");
+  }
+
   std::vector<std::byte> bytes_;
   std::size_t pos_ = 0;
 };

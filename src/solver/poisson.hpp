@@ -18,9 +18,12 @@
 ///     values, the owner adds them, and one message per reverse channel
 ///     returns the total. Channels are posted in ascending source part with
 ///     values in remotes() order, so each owner adds contributions in a
-///     fixed order and iterations and solution are bit-reproducible, in
-///     serial and threaded delivery alike,
-///   - dot products count each vertex once (on its owning part).
+///     fixed order,
+///   - dot products count each vertex once (on its owning part) and
+///     accumulate serially in part order.
+/// Assembly, matrix-vector products and vector updates run one task per
+/// part on the network's worker pool (dist::Network::forEachPart), so
+/// iterations and solution are bit-reproducible at every width.
 /// The solution is written to the vertex field "u" on every part.
 
 #include <functional>
@@ -44,6 +47,10 @@ struct PoissonReport {
 /// Solve -lap(u) = f, u = g on the model boundary. Requires a simplex
 /// (tet/tri) PartedMesh without ghosts. The result is stored in the vertex
 /// field "u" (tag "field:u") on all parts, consistent across copies.
+///
+/// Callback contract: f is called once per vertex copy and g once per
+/// fixed (model-boundary) vertex copy, all on the calling thread, never
+/// concurrently. Each must return the same value for the same point.
 PoissonReport solvePoisson(dist::PartedMesh& pm,
                            const std::function<double(const common::Vec3&)>& f,
                            const std::function<double(const common::Vec3&)>& g,

@@ -619,10 +619,10 @@ TEST_P(MemflipMatrix, EveryInjectedFlipIsRepairedOrPreciselyReported) {
   EXPECT_EQ(rep.flips_injected + rep.flips_skipped,
             static_cast<std::uint64_t>(bits))
       << "the scheduled burst fired exactly once and is fully accounted";
-  if (rep.flips_injected > 0) {
-    EXPECT_GE(rep.mismatches, 1u)
-        << "a planted flip evaded every audit: silent corruption";
-  }
+  EXPECT_GT(rep.flips_injected, 0u)
+      << "the scheduled " << target << " burst found no live state to flip";
+  EXPECT_GE(rep.mismatches, 1u)
+      << "a planted flip evaded every audit: silent corruption";
   for (const auto& c : rep.detected) {
     EXPECT_GT(c.repair_tier, 0)
         << "unrepaired detection survived without kIntegrity: part "

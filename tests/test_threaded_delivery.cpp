@@ -1,5 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstring>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <tuple>
+
 #include "adapt/sizefield.hpp"
 #include "core/measure.hpp"
 #include "core/verify.hpp"
@@ -10,6 +18,7 @@
 #include "parma/balance.hpp"
 #include "parma/metrics.hpp"
 #include "part/partition.hpp"
+#include "pcu/error.hpp"
 #include "solver/poisson.hpp"
 
 namespace {
@@ -125,5 +134,144 @@ TEST(ThreadedDelivery, SameGlobalCountsAsSequential) {
   for (int d = 0; d <= 3; ++d)
     EXPECT_EQ(pm_thr->globalCount(d), pm_seq->globalCount(d)) << "dim " << d;
 }
+
+/// --- the part pool ---------------------------------------------------------
+///
+/// Network::forEachPart and deliverAll run on one process-wide pool. Every
+/// property below is checked at width 1 (every loop on the calling thread)
+/// and at width 4.
+
+std::unique_ptr<dist::Network> network(int parts, int width) {
+  auto net = std::make_unique<dist::Network>(
+      dist::PartMap(parts, pcu::Machine(2, (parts + 1) / 2)));
+  net->setDeliveryThreads(width);
+  return net;
+}
+
+class PoolWidths : public ::testing::TestWithParam<int> {};
+
+TEST_P(PoolWidths, EveryPartIsVisitedExactlyOnce) {
+  auto net = network(37, GetParam());
+  std::vector<std::atomic<int>> visits(37);
+  net->forEachPart([&](PartId p) { ++visits[static_cast<std::size_t>(p)]; });
+  for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
+}
+
+TEST_P(PoolWidths, LowestPartErrorIsRethrownAfterEveryTask) {
+  auto net = network(16, GetParam());
+  std::vector<std::atomic<int>> done(16);
+  try {
+    net->forEachPart([&](PartId p) {
+      done[static_cast<std::size_t>(p)] = 1;
+      if (p == 11 || p == 5 || p == 13)
+        throw std::runtime_error("part " + std::to_string(p));
+    });
+    FAIL() << "no error surfaced";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "part 5");
+  }
+  for (const auto& d : done) EXPECT_EQ(d.load(), 1);
+}
+
+TEST_P(PoolWidths, NestedLoopsComplete) {
+  auto net = network(8, GetParam());
+  std::vector<std::atomic<int>> visits(64);
+  net->forEachPart([&](PartId outer) {
+    net->forEachPart([&](PartId inner) {
+      ++visits[static_cast<std::size_t>(outer * 8 + inner)];
+    });
+  });
+  for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
+}
+
+/// Two threads, each driving its own PartedMesh through a solve and a
+/// verify at the same time: one holds the pool, the other runs inline, and
+/// both match a run made alone.
+TEST_P(PoolWidths, ConcurrentCallersOnTwoMeshesComplete) {
+  const auto solve = [&](double shift) {
+    auto gen = meshgen::boxTets(3, 3, 3);
+    auto pm = parted(gen, 4, GetParam());
+    const auto report = solver::solvePoisson(
+        *pm, [](const common::Vec3&) { return 1.0; },
+        [shift](const common::Vec3& x) { return x.x + shift; },
+        {.tolerance = 1e-11});
+    pm->verify();
+    return std::make_tuple(report.iterations, report.residual,
+                           pm->fingerprint());
+  };
+  const auto alone_a = solve(0.0);
+  const auto alone_b = solve(1.0);
+  decltype(solve(0.0)) got_a, got_b;
+  std::thread other([&] { got_b = solve(1.0); });
+  got_a = solve(0.0);
+  other.join();
+  EXPECT_EQ(got_a, alone_a);
+  EXPECT_EQ(got_b, alone_b);
+}
+
+/// Three rounds of handler replies: the (to, from, body) sequence each part
+/// receives and the network stats are the same at width 1 and width 4.
+TEST(PoolDelivery, SequenceAndStatsMatchAtWidthsOneAndFour) {
+  using Log = std::vector<std::tuple<PartId, PartId, std::vector<std::byte>>>;
+  const auto run = [](int width) {
+    constexpr int kParts = 9;
+    auto net = network(kParts, width);
+    for (PartId p = 0; p < kParts; ++p)
+      for (PartId q : {(p + 1) % kParts, (p * 4 + 2) % kParts}) {
+        pcu::OutBuffer b;
+        b.pack<std::int32_t>(p * 100 + q);
+        net->send(p, q, std::move(b));
+      }
+    std::vector<Log> logs(kParts);
+    for (int round = 0; round < 3; ++round) {
+      net->deliverAll([&](PartId to, PartId from, pcu::InBuffer body) {
+        const auto v = body.unpack<std::int32_t>();
+        std::vector<std::byte> bytes(sizeof v);
+        std::memcpy(bytes.data(), &v, sizeof v);
+        logs[static_cast<std::size_t>(to)].emplace_back(to, from, bytes);
+        for (PartId q : {(to * 7 + from) % kParts, (v + round) % kParts}) {
+          pcu::OutBuffer b;
+          b.pack<std::int32_t>(v * 3 + to);
+          net->send(to, q, std::move(b));
+        }
+      });
+    }
+    Log all;
+    for (const auto& l : logs) all.insert(all.end(), l.begin(), l.end());
+    const auto& st = net->stats();
+    return std::make_tuple(all, st.messages_sent, st.bytes_sent,
+                           st.physical_messages, st.physical_bytes,
+                           st.on_node_messages, st.off_node_messages);
+  };
+  const auto serial = run(1);
+  EXPECT_EQ(std::get<0>(serial).size(), 9u * 2 * (1 + 2 + 4));
+  EXPECT_EQ(run(4), serial);
+}
+
+/// A truncated body reaches its handler through deliverAll: the unpack
+/// raises pcu::Error(kValidation), and the driver thread receives it.
+TEST_P(PoolWidths, TruncatedBodyIsAValidationErrorOnTheDriver) {
+  auto net = network(6, GetParam());
+  for (PartId p = 0; p < 6; ++p) {
+    pcu::OutBuffer b;
+    if (p == 3)
+      b.pack<std::uint16_t>(7);  // two bytes where eight are read
+    else
+      b.pack<std::uint64_t>(7);
+    net->send(p, (p + 1) % 6, std::move(b));
+  }
+  const auto driver = std::this_thread::get_id();
+  try {
+    net->deliverAll([](PartId, PartId, pcu::InBuffer body) {
+      (void)body.unpack<std::uint64_t>();
+    });
+    FAIL() << "the truncated body was accepted";
+  } catch (const pcu::Error& e) {
+    EXPECT_EQ(e.code(), pcu::ErrorCode::kValidation);
+    EXPECT_EQ(std::this_thread::get_id(), driver);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Width, PoolWidths, ::testing::Values(1, 4));
 
 }  // namespace
