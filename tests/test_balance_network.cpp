@@ -87,14 +87,16 @@ pcu::CommStats runPattern(bool coalesce, int per_pair,
         net.send(from, to, std::move(b));
       }
     }
-  std::size_t count = 0;
+  // One counter per destination: handlers of different parts run
+  // concurrently and may write only their own part's state.
+  std::vector<std::size_t> count(4, 0);
   net.deliverAll([&](PartId to, PartId from, pcu::InBuffer body) {
     EXPECT_LT(body.unpack<int>(), per_pair);
     EXPECT_EQ(body.unpack<int>(),
               static_cast<int>(from) * 100 + static_cast<int>(to));
-    ++count;
+    ++count[static_cast<std::size_t>(to)];
   });
-  if (delivered) *delivered = count;
+  if (delivered) *delivered = count[0] + count[1] + count[2] + count[3];
   return net.stats();
 }
 
